@@ -848,18 +848,26 @@ def to_json(A):
     return obj
 
 
+def _json_object(obj, key):
+    """obj[key] as a dict; an absent key reads as empty."""
+    value = obj.get(key, {})
+    if not isinstance(value, dict):
+        raise InvalidInput(f"'{key}' must be an object keyed by 'p,q'")
+    return value
+
+
 def from_json(obj):
     if not isinstance(obj, dict) or "spaces" not in obj:
         raise InvalidInput("bicomplex JSON must be an object with 'spaces'")
     spaces = {}
-    for key, dim in obj["spaces"].items():
-        if not isinstance(dim, int) or dim < 0:
+    for key, dim in _json_object(obj, "spaces").items():
+        if type(dim) is not int or dim < 0:
             raise InvalidInput(f"bad dimension {dim!r} at {key!r}")
         spaces[_parse_pq(key)] = dim
 
     def read(which, step):
         maps = {}
-        for key, rows in (obj.get(which) or {}).items():
+        for key, rows in _json_object(obj, which).items():
             pq = _parse_pq(key)
             src = spaces.get(pq, 0)
             tgt = spaces.get((pq[0] + step[0], pq[1] + step[1]), 0)
@@ -868,14 +876,14 @@ def from_json(obj):
             maps[pq] = Matrix.from_json(rows, tgt, src)
         return maps
 
-    labels = None
-    if obj.get("labels"):
-        labels = {}
-        for key, names in obj["labels"].items():
-            pq = _parse_pq(key)
-            if len(names) != spaces.get(pq, 0):
-                raise InvalidInput(f"label count at {key!r} does not match dimension")
-            labels[pq] = [str(x) for x in names]
+    labels = {}
+    for key, names in _json_object(obj, "labels").items():
+        pq = _parse_pq(key)
+        if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+            raise InvalidInput(f"labels at {key!r} must be a list of strings")
+        if len(names) != spaces.get(pq, 0):
+            raise InvalidInput(f"label count at {key!r} does not match dimension")
+        labels[pq] = names
 
     A = Bicomplex(spaces, read("del", (1, 0)), read("delbar", (0, 1)), labels)
     return validate(A)

@@ -23,6 +23,13 @@ Bigraded functors at (p,q):
 Here dc = i(delbar - del), so d dc = 2i del delbar and the total-degree
 descriptions of Bott-Chern and Aeppli used elsewhere agree with the
 bigraded ones.
+
+The filtrations F^p (blocks with p >= level) and Fbar^q (q >= level)
+are coordinate index lists.  Ker d ∩ F^p and the spectral-sequence terms
+Z_r = F^a ∩ d^{-1}(F^{a+r}) are kernels of submatrices of d: keep the
+columns of level >= p (or >= a), and every row (or the rows of level
+< a+r).  The row spectral sequence is the q-filtration of the same
+total complex.
 """
 
 from __future__ import annotations
@@ -34,12 +41,14 @@ from .bicomplex import (
     dc as _dc_matrix,
     degree_blocks,
     total_d,
-    transpose_bicomplex,
+    transpose_bicomplex,  # unused here; bench/tracing.py rebinds this name
 )
 from .errors import Inconsistent, InvalidInput
 from .linalg import (
+    ZERO,
+    Matrix,
+    Subspace,
     apply_matrix,
-    coordinate_subspace,
     image_basis,
     kernel_basis,
     preimage,
@@ -72,9 +81,8 @@ FUNCTORS = TOTAL_FUNCTORS + BIGRADED_FUNCTORS
 class TotalComplex:
     """Cached total-degree view of a bicomplex.
 
-    Blocks in degree k are ordered by increasing p, so the column
-    filtration F^p is a coordinate suffix.  All subspaces live in the
-    block-coordinate ambient of their total degree.
+    Blocks in degree k are ordered by increasing p.  All subspaces live
+    in the block-coordinate ambient of their total degree.
     """
 
     def __init__(self, A):
@@ -176,26 +184,36 @@ class TotalComplex:
     def h_dc(self, k):
         return self.ker_dc(k).dim - self.im_dc(k).dim
 
-    def column_filtration(self, k, p):
-        """F^p in degree k: the blocks with first index >= p."""
-        blocks = self.blocks(k)
-        n = self.dim(k)
-        start = n
-        for (bp, _), off, _ in blocks:
-            if bp >= p:
-                start = off
-                break
-        return coordinate_subspace(n, range(start, n))
+    def filtration_index(self, k, axis, level):
+        """Degree-k coordinates whose p (axis 0) or q (axis 1) is >= level."""
+        return [
+            i
+            for pq, off, dim in self.blocks(k)
+            if pq[axis] >= level
+            for i in range(off, off + dim)
+        ]
+
+    def d_kernel(self, k, cols, rows):
+        """Vectors on the degree-k coordinates cols whose d vanishes on
+        the degree-(k+1) coordinates rows: the kernel of that submatrix
+        of d, embedded back into degree k."""
+        cols, rows = tuple(cols), tuple(rows)
+
+        def build():
+            d = self.d(k).data
+            ker = kernel_basis(
+                Matrix([[d[i][j] for j in cols] for i in rows], len(rows), len(cols))
+            )
+            at = {j: t for t, j in enumerate(cols)}
+            n = self.dim(k)
+            basis = [[v[at[j]] if j in at else ZERO for j in range(n)] for v in ker.basis]
+            # an increasing embedding of coordinates keeps the basis reduced
+            return Subspace(n, basis, _canonical=True)
+
+        return self._get(("d_kernel", k, cols, rows), build)
 
     def filtration(self):
         return self._get(("filtration",), lambda: _compute_filtration(self))
-
-    def transposed(self):
-        """The transposed bicomplex's cached total view (for row pages)."""
-        return self._get(
-            ("transpose",),
-            lambda: TotalComplex(transpose_bicomplex(self.A)),
-        )
 
 
 def _tc(A):
@@ -344,15 +362,9 @@ class FiltrationTable:
         }
 
 
-def _row_filtration(tc, k, q):
-    """Fbar^q in degree k (blocks with second index >= q)."""
-    blocks = tc.blocks(k)
-    n = tc.dim(k)
-    idx = []
-    for (_, bq), off, d in blocks:
-        if bq >= q:
-            idx.extend(range(off, off + d))
-    return coordinate_subspace(n, idx)
+def _kerd_F(tc, k, axis, level):
+    """Ker d ∩ F^level in degree k (Fbar^level along axis 1)."""
+    return tc.d_kernel(k, tc.filtration_index(k, axis, level), range(tc.dim(k + 1)))
 
 
 def hodge_filtration(A):
@@ -375,21 +387,12 @@ def _compute_filtration(tc):
         ps = sorted({pq[0] for pq, _, _ in blocks})
         qs = sorted({pq[1] for pq, _, _ in blocks})
         im = tc.im_d(k)
-        kerd = tc.ker_d(k)
 
-        V = {}
-        for p in range(ps[0], ps[-1] + 2):
-            V[p] = subspace_sum(
-                subspace_intersect(kerd, tc.column_filtration(k, p)), im
-            )
-        W = {}
-        for q in range(qs[0], qs[-1] + 2):
-            W[q] = subspace_sum(
-                subspace_intersect(kerd, _row_filtration(tc, k, q)), im
-            )
-        for p in range(ps[0], ps[-1] + 2):
+        V = {p: subspace_sum(_kerd_F(tc, k, 0, p), im) for p in range(ps[0], ps[-1] + 2)}
+        W = {q: subspace_sum(_kerd_F(tc, k, 1, q), im) for q in range(qs[0], qs[-1] + 2)}
+        for p in V:
             table.F[(p, k)] = V[p].dim - im.dim
-        for q in range(qs[0], qs[-1] + 2):
+        for q in W:
             table.Fbar[(q, k)] = W[q].dim - im.dim
 
         VW = {}
@@ -456,74 +459,64 @@ class SpectralPage:
         }
 
 
-def _dinv_F(tc, k, p):
-    """d^{-1}(F^p A^{k+1}) in degree k."""
-    return tc._get(
-        ("dinvF", k, p),
-        lambda: preimage(tc.d(k), tc.column_filtration(k + 1, p)),
-    )
+def _Z(tc, axis, r, a, b):
+    """Z_r at filtration position (a, b): the elements of degree a+b and
+    level >= a whose d has level >= a+r."""
+    k = a + b
+    high = set(tc.filtration_index(k + 1, axis, a + r))
+    low = [i for i in range(tc.dim(k + 1)) if i not in high]
+    return tc.d_kernel(k, tc.filtration_index(k, axis, a), low)
 
 
-def _column_Z(tc, r, p, q):
-    """Z_r^{p,q} = F^p A^k ∩ d^{-1}(F^{p+r} A^{k+1})."""
-    return tc._get(
-        ("Z", r, p, q),
-        lambda: subspace_intersect(
-            tc.column_filtration(p + q, p), _dinv_F(tc, p + q, p + r)
-        ),
-    )
-
-
-def _column_B(tc, r, p, q):
-    """The subspace divided out of Z_r at position (p,q)."""
+def _B(tc, axis, r, a, b):
+    """The subspace divided out of Z_r at filtration position (a, b)."""
 
     def build():
-        zz = _column_Z(tc, r - 1, p + 1, q - 1)
-        img = apply_matrix(
-            tc.d(p + q - 1), _column_Z(tc, r - 1, p - r + 1, q + r - 2)
-        )
+        zz = _Z(tc, axis, r - 1, a + 1, b - 1)
+        img = apply_matrix(tc.d(a + b - 1), _Z(tc, axis, r - 1, a - r + 1, b + r - 2))
         return subspace_sum(zz, img)
 
-    return tc._get(("pageB", r, p, q), build)
+    return tc._get(("pageB", axis, r, a, b), build)
 
 
-def _column_page(tc, r):
+def _page(tc, axis, r):
+    """Dims and d_r ranks of page r, keyed by filtration position
+    (level, other index); d_r goes from (a, b) to (a+r, b-r+1)."""
     dims = {}
     ranks = {}
-    for (p, q) in tc.A.spaces:
-        d = _column_Z(tc, r, p, q).dim - _column_B(tc, r, p, q).dim
+    for pq in tc.A.spaces:
+        a, b = pq[axis], pq[1 - axis]
+        d = _Z(tc, axis, r, a, b).dim - _B(tc, axis, r, a, b).dim
         if d:
-            dims[(p, q)] = d
-    for (p, q) in dims:
-        if (p + r, q - r + 1) not in dims:
+            dims[(a, b)] = d
+    for (a, b) in dims:
+        if (a + r, b - r + 1) not in dims:
             continue
-        tgt_b = _column_B(tc, r, p + r, q - r + 1)
-        out = subspace_sum(
-            apply_matrix(tc.d(p + q), _column_Z(tc, r, p, q)), tgt_b
-        )
+        tgt_b = _B(tc, axis, r, a + r, b - r + 1)
+        out = subspace_sum(apply_matrix(tc.d(a + b), _Z(tc, axis, r, a, b)), tgt_b)
         rank = out.dim - tgt_b.dim
         if rank:
-            ranks[(p, q)] = rank
+            ranks[(a, b)] = rank
     return dims, ranks
 
 
 def spectral_page(A, which, r):
     """Page r of the column or row spectral sequence.
 
-    The row sequence of A is the column sequence of the transposed
-    bicomplex; positions are mapped back by swapping the indices, so
-    the row page at (p,q) has its d_r pointing to (p-r+1, q+r).
+    The column sequence is that of the filtration by p, the row sequence
+    that of the filtration by q, both on the same total complex, where
+    Z_r is the kernel of a submatrix of d.  Row positions come out as
+    (q, p) and are swapped back, so the row page at (p,q) has its d_r
+    pointing to (p-r+1, q+r).
     """
     if r < 1:
         raise InvalidInput("page index must be >= 1")
-    if which == "column":
-        dims, ranks = _column_page(_tc(A), r)
-    elif which == "row":
-        tdims, tranks = _column_page(_tc(A).transposed(), r)
-        dims = {(p, q): v for (q, p), v in tdims.items()}
-        ranks = {(p, q): v for (q, p), v in tranks.items()}
-    else:
+    if which not in ("column", "row"):
         raise InvalidInput(f"unknown spectral sequence {which!r}")
+    dims, ranks = _page(_tc(A), 0 if which == "column" else 1, r)
+    if which == "row":
+        dims = {(p, q): v for (q, p), v in dims.items()}
+        ranks = {(p, q): v for (q, p), v in ranks.items()}
     return SpectralPage(which, r, dims, ranks)
 
 

@@ -75,9 +75,6 @@ class Scalar:
     def is_zero(self):
         return not self.re and not self.im
 
-    def conjugate(self):
-        return Scalar(self.re, -self.im)
-
     def __add__(self, other):
         other = _coerce(other)
         return Scalar(self.re + other.re, self.im + other.im)
@@ -131,10 +128,6 @@ class Scalar:
 
     def __str__(self):
         return format_scalar(self)
-
-    @staticmethod
-    def parse(text):
-        return parse_scalar(text)
 
 
 def _coerce(x):
@@ -299,12 +292,6 @@ class Matrix:
             self.rows,
             self.cols,
         )
-
-    def __sub__(self, other):
-        return self + (other * Scalar(-1))
-
-    def __neg__(self):
-        return self * Scalar(-1)
 
     def transpose(self):
         return Matrix(

@@ -93,6 +93,24 @@ class TestValidate:
         code, lines, _ = run_lines(capsys, ["validate"])
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"spaces": []}',
+            '{"spaces": {"0,0": 1, "0,1": 1}, "delbar": "zz"}',
+            '{"spaces": {"0,0": 1}, "labels": {"0,0": 5}}',
+            '{"spaces": {"0,0": true}}',
+            '{"spaces": {"0,0": 1, "1,0": 1}, "del": []}',
+            '{"spaces": {"0,0": 1}, "labels": []}',
+            '{"spaces": {"0,0": 1}, "labels": {"0,0": "x"}}',
+        ],
+    )
+    def test_malformed_bicomplex_exits_2(self, capsys, monkeypatch, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, _, err = run_lines(capsys, ["check", "--ddc3", "-"])
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_round_trip_is_byte_identical(self, hopf_path):
         text = open(hopf_path).read().strip()
         assert dumps(from_json(json.loads(text))) == text
