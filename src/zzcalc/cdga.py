@@ -12,7 +12,12 @@ formal dimension 2n and a level j:
 
   * check Poincare duality of H(P) (b_2n = 1 and a nondegenerate cup
     pairing in complementary degrees), else the criterion does not
-    apply;
+    apply.  The pairing forms no cup product: one linear functional
+    phi on the degree-2n cochains gives the top-class coordinate, each
+    representative monomial m1 is contracted once against supp phi
+    into the dual terms (T/m1, sign * phi(T)), and a pairing entry is
+    the sparse dot product of those terms with the complementary
+    representative;
   * check the cup hypothesis that the subalgebra generated by classes
     of degree <= j misses H^{j+1};
   * compare r_j^k, the rank of H^k of the j-minimal model map, with
@@ -238,6 +243,10 @@ def parse_poly(text, index, degrees):
                         raise InvalidInput(f"exponent must be a natural: {e}")
                     power = int(e)
                     pos += 1
+                if len(indices) + power > PIECE_CAP:
+                    raise InvalidInput(
+                        f"monomial with more than {PIECE_CAP} factors "
+                        f"in {text!r}")
                 indices.extend([g] * power)
             else:
                 raise InvalidInput(f"expected a factor in {text!r}")
@@ -304,7 +313,7 @@ class CdgaPresentation:
         for name, degree in generators:
             if not isinstance(name, str) or not _NAME_RE.match(name):
                 raise InvalidInput(f"bad generator name {name!r}")
-            if not isinstance(degree, int) or degree < 1:
+            if type(degree) is not int or degree < 1:
                 raise InvalidInput(
                     f"generator {name!r} needs integer degree >= 1")
             gens.append((name, degree))
@@ -314,7 +323,7 @@ class CdgaPresentation:
         if len(set(self.names)) != len(self.names):
             raise InvalidInput("duplicate generator names")
         self.index = {n: i for i, n in enumerate(self.names)}
-        if not isinstance(formal_dimension, int) or formal_dimension < 0:
+        if type(formal_dimension) is not int or formal_dimension < 0:
             raise InvalidInput("formal_dimension must be a natural number")
         self.formal_dimension = formal_dimension
 
@@ -382,14 +391,16 @@ def cdga_to_json(P):
 def cdga_from_json(obj):
     if not isinstance(obj, dict) or "generators" not in obj:
         raise InvalidInput("cdga JSON must be an object with 'generators'")
-    if not isinstance(obj.get("dim", 0), int):
+    if type(obj.get("dim", 0)) is not int:
         raise InvalidInput("'dim' must be an integer")
+    if not isinstance(obj["generators"], list):
+        raise InvalidInput("'generators' must be a list")
     gens = []
     for row in obj["generators"]:
         if not isinstance(row, dict) or "name" not in row or "degree" not in row:
             raise InvalidInput(f"bad generator entry {row!r}")
         gens.append((row["name"], row["degree"]))
-    d = obj.get("d") or {}
+    d = obj.get("d", {})
     if not isinstance(d, dict) or not all(
         isinstance(v, str) for v in d.values()
     ):
@@ -457,7 +468,6 @@ class _Engine:
     """Per-presentation caches: bases, differentials, cohomology."""
 
     def __init__(self, P):
-        self.P = P
         self.degrees = P.degrees
         self.dpolys = [P.differential.get(n) for n in P.names]
         self._basis = {}
@@ -887,8 +897,13 @@ def _model(P, j, degree_cap=None, stage_cap=32):
     got = eng._models.get(j)
     if got is None:
         got = _tower(P, j, degree_cap, stage_cap)
+        if got[0] is P:
+            # None stands for P itself, so the engine holds no
+            # reference back to its presentation.
+            got = (None,) + got[1:]
         eng._models[j] = got
-    return got
+    model, psi, stabilized = got
+    return (P if model is None else model), psi, stabilized
 
 
 def j_minimal_model(P, j, degree_cap=None, stage_cap=32):
@@ -942,12 +957,84 @@ class ObstructionReport:
     blocked_at: tuple = ()
 
 
+def _top_functional(eng, n2):
+    """phi on C^{n2} as {monomial: value}, given b_{n2} = 1.
+
+    phi(e_c) is the H^{n2} coordinate left by reducing the unit row e_c
+    through coh(n2), with a column that is neither pivot dropped.  The
+    image pivot rows, the representative row and the unit rows of the
+    other columns form a triangular basis, so back-substitution from
+    the last column gives every value, and phi agrees with
+    project(...)[0] on cocycles.
+    """
+    data = eng.coh(n2)
+    vals = {}
+    for c in sorted(set(data.im_pivots) | set(data.h_pivots), reverse=True):
+        entry = data.im_pivots.get(c)
+        if entry is None:
+            row, v = data.h_rows[data.h_pivots[c]], _F1
+        else:
+            row, v = entry[0], _F0
+        for cc, x in row.items():
+            if cc != c and cc in vals:
+                v -= x * vals[cc]
+        if v:
+            vals[c] = v
+    basis = eng.basis(n2)
+    return {basis[c]: v for c, v in vals.items()}
+
+
+def _contract(m1, phi, degrees):
+    """Terms (m2, sign * phi(T)) for each T in supp phi that m1 divides.
+
+    m2 = T / m1 and m1 * m2 = sign * T.
+    """
+    out = []
+    for top, v in phi.items():
+        rest = list(top)
+        try:
+            for g in m1:
+                rest.remove(g)
+        except ValueError:
+            continue
+        m2 = tuple(rest)
+        out.append((m2, _sort_indices(m1 + m2, degrees)[0] * v))
+    return out
+
+
+def _pairing_rows(eng, phi, k, n2, contractions):
+    """Rows {l: <[rep_i][rep_l], top class>} of the H^k x H^{n2-k} pairing.
+
+    contractions caches _contract per monomial across degrees.
+    """
+    others = [eng.h_rep_poly(n2 - k, l) for l in range(eng.betti(n2 - k))]
+    rows = []
+    for i in range(eng.betti(k)):
+        dual = {}
+        for m1, c1 in eng.h_rep_poly(k, i).items():
+            terms = contractions.get(m1)
+            if terms is None:
+                terms = contractions[m1] = _contract(m1, phi, eng.degrees)
+            for m2, v in terms:
+                dual[m2] = dual.get(m2, _F0) + c1 * v
+        row = {}
+        for l, rep in enumerate(others):
+            val = sum(
+                (c2 * dual[m2] for m2, c2 in rep.items() if m2 in dual), _F0)
+            if val:
+                row[l] = val
+        rows.append(row)
+    return rows
+
+
 def _check_poincare_duality(P):
     eng = _engine(P)
     n2 = P.formal_dimension
     if eng.betti(n2) != 1:
         raise NoPoincareDuality(
             f"b_{n2} = {eng.betti(n2)}, expected 1")
+    phi = _top_functional(eng, n2)
+    contractions = {}
     for k in range(n2 // 2 + 1):
         bk = eng.betti(k)
         bo = eng.betti(n2 - k)
@@ -955,12 +1042,7 @@ def _check_poincare_duality(P):
             raise NoPoincareDuality(
                 f"b_{k} = {bk} but b_{n2 - k} = {bo}")
         ech = _Echelon()
-        for i in range(bk):
-            row = {}
-            for l in range(bo):
-                coords = eng.cup_coords(k, i, n2 - k, l)
-                if coords:
-                    row[l] = coords[0]
+        for row in _pairing_rows(eng, phi, k, n2, contractions):
             if row:
                 ech.insert(row)
         if ech.rank != bk:

@@ -367,8 +367,18 @@ def _check_worker(item):
         return 3, f"internal error: {exc}"
 
 
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _sweep(items, worker, jobs):
-    if jobs > 1 and len(items) > 1:
+    # Under fork every worker starts at once, so never ask for more
+    # than there are CPUs or items.
+    jobs = min(jobs, _usable_cpus(), len(items))
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(worker, items))
     return [worker(item) for item in items]

@@ -369,6 +369,20 @@ class TestObstruction:
         with pytest.raises(NoPoincareDuality):
             obstruction(CdgaPresentation([("x", 1)], {}, 2), 1)
 
+    def test_degenerate_pairing(self):
+        P = CdgaPresentation(
+            [("x", 2), ("y", 2), ("z", 3), ("w", 3)],
+            {"z": "x^2", "w": "x*y"}, 4)
+        with pytest.raises(NoPoincareDuality) as info:
+            obstruction(P, 1)
+        assert str(info.value) == "cup pairing degenerate in degrees (2, 2)"
+
+    def test_betti_mismatch(self):
+        P = CdgaPresentation([("a", 1), ("x", 4)], {}, 4)
+        with pytest.raises(NoPoincareDuality) as info:
+            obstruction(P, 1)
+        assert str(info.value) == "b_1 = 1 but b_3 = 0"
+
     def test_odd_formal_dimension_rejected(self):
         with pytest.raises(InvalidInput):
             obstruction(CdgaPresentation([("x", 1)], {}, 3), 1)

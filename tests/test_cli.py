@@ -168,6 +168,34 @@ class TestCheck:
         assert code == 0
         assert [row["verdict"] for row in obj] == ["holds", "holds"]
 
+    @pytest.mark.parametrize("cpus, expected", [(64, 3), (2, 2), (1, None)])
+    def test_jobs_clamped(self, capsys, monkeypatch, hopf_path, cpus,
+                          expected):
+        seen = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        code, obj = run_json(capsys, [
+            "check", "--ddc3", hopf_path, hopf_path, hopf_path,
+            "--jobs", "100000", "--json",
+        ])
+        assert code == 0
+        assert [row["verdict"] for row in obj] == ["holds"] * 3
+        assert seen == ([] if expected is None else [expected])
+
     def test_internal_error_exit_three(self, capsys, monkeypatch,
                                        hopf_path):
         def boom(A):
@@ -426,6 +454,46 @@ class TestCdgaVerbs:
         err = capsys.readouterr().err
         assert code == 2
         assert "stabilize" in err
+
+    @pytest.mark.parametrize("blob, message", [
+        ({"dim": 4, "generators": [
+            {"name": "x", "degree": 2}, {"name": "y", "degree": 2},
+            {"name": "z", "degree": 3}, {"name": "w", "degree": 3}],
+          "d": {"z": "x^2", "w": "x*y"}},
+         "cup pairing degenerate in degrees (2, 2)"),
+        ({"dim": 4, "generators": [
+            {"name": "a", "degree": 1}, {"name": "x", "degree": 4}]},
+         "b_1 = 1 but b_3 = 0"),
+    ])
+    def test_obstruct_without_duality_exit_two(self, capsys, tmp_path,
+                                               blob, message):
+        path = tmp_path / "nopd.json"
+        path.write_text(json.dumps(blob))
+        code, _, err = run_lines(
+            capsys, ["cdga", "obstruct", str(path), "--j", "1"])
+        assert code == 2
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("text, cause", [
+        ('{"dim": 2, "generators": 5}', "'generators' must be a list"),
+        ('{"dim": 2, "generators": [{"name": "x", "degree": true},'
+         ' {"name": "y", "degree": 1}]}', "needs integer degree"),
+        ('{"dim": true, "generators": [{"name": "x", "degree": 1}]}',
+         "'dim' must be an integer"),
+        ('{"dim": 2, "generators": [{"name": "x", "degree": 1}], "d": []}',
+         "'d' must map"),
+        ('{"dim": 2, "generators": [{"name": "x", "degree": 2},'
+         ' {"name": "y", "degree": 3}], "d": {"y": "x^99999999999"}}',
+         "more than 4096 factors"),
+    ])
+    def test_malformed_cdga_exits_2(self, capsys, tmp_path, text, cause):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, _, err = run_lines(
+            capsys, ["cdga", "obstruct", str(path), "--j", "1"])
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert cause in err
 
     def test_compat_excluded(self, capsys, tmp_path):
         from zzcalc.bicomplex import dot_shape
