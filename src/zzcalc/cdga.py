@@ -4,8 +4,9 @@ A presentation is a free graded-commutative algebra over Q on named
 generators, with the differential given per generator and extended as
 a degree +1 derivation.  Monomials are tuples of generator indices in
 ascending order; reordering picks up a Koszul sign, and a repeated odd
-index kills the term.  Linear algebra runs on sparse column-dict rows
-over Fraction, so every rank here is exact.
+index kills the term.  Every elimination is one _Echelon of sparse
+{column: Fraction} rows whose pivots can carry witnesses, so every
+rank, preimage and coordinate here is exact.
 
 The obstruction pipeline is one fixed recipe.  For a presentation P of
 formal dimension 2n and a level j:
@@ -424,44 +425,81 @@ def _submul(z, prow, coef, skip):
 
 
 class _Echelon:
-    """Row space kept in (non-reduced) echelon form."""
+    """Row space kept in (non-reduced) echelon form, with witnesses.
 
-    __slots__ = ("pivots",)
+    pivots maps each lead column to its row, scaled to lead 1.  A pivot
+    may carry a witness in wits under the same column: reduce(row, wit)
+    applies every row operation it makes to wit as well, so wit loses
+    coef * wits[c] whenever the row loses coef * pivots[c].  A pivot
+    without a witness has witness zero.  The pivot rows given to the
+    constructor are shared, not copied.
+    """
 
-    def __init__(self):
-        self.pivots = {}
+    __slots__ = ("pivots", "wits")
 
-    def reduce(self, row):
+    def __init__(self, pivots=()):
+        self.pivots = dict(pivots)
+        self.wits = {}
+
+    def reduce(self, row, wit=None):
         z = dict(row)
         while z:
             c = min(z)
             p = self.pivots.get(c)
             if p is None:
                 return z
-            _submul(z, p, z.pop(c), c)
+            coef = z.pop(c)
+            _submul(z, p, coef, c)
+            if wit is not None and c in self.wits:
+                _submul(wit, self.wits[c], coef, None)
         return z
 
-    def insert(self, row):
-        z = self.reduce(row)
+    def insert(self, row, wit=None):
+        """Lead column of the new pivot, or None when row reduces to 0."""
+        z = self.reduce(row, wit)
         if not z:
-            return False
+            return None
         lead = min(z)
         inv = _F1 / z[lead]
         self.pivots[lead] = {c: v * inv for c, v in z.items()}
-        return True
+        if wit is not None:
+            self.wits[lead] = {c: v * inv for c, v in wit.items()}
+        return lead
 
     @property
     def rank(self):
         return len(self.pivots)
 
 
-class _CohData:
-    __slots__ = ("im_pivots", "h_rows", "h_pivots")
+def _kernel(rows):
+    """Witnesses {i: coef} of the rows that reduce to zero, in order.
 
-    def __init__(self, im_pivots, h_rows, h_pivots):
-        self.im_pivots = im_pivots
+    Each witness w is a relation: sum of w[i] * rows[i] is zero.
+    """
+    ech = _Echelon()
+    out = []
+    for i, row in enumerate(rows):
+        wit = {i: _F1}
+        if ech.insert(row, wit) is None:
+            out.append(wit)
+    return out
+
+
+class _CohData:
+    """H^k of a presentation as two echelons over the degree-k basis.
+
+    im holds Im d, each pivot witnessed by a preimage over basis(k-1).
+    quo shares im's rows and adds the representative rows h_rows, the
+    i-th witnessed by {i: 1}, so reducing a cocycle through quo leaves
+    minus its H^k coordinates in the witness.
+    """
+
+    __slots__ = ("im", "quo", "h_rows")
+
+    def __init__(self, im, quo, h_rows):
+        self.im = im
+        self.quo = quo
         self.h_rows = h_rows
-        self.h_pivots = h_pivots
 
 
 class _Engine:
@@ -537,62 +575,18 @@ class _Engine:
         got = self._coh.get(k)
         if got is not None:
             return got
-        im_pivots = {}
+        im = _Echelon()
         if k > 0:
             for i, m in enumerate(self.basis(k - 1)):
-                row = dict(self.d_row(m, k - 1))
-                wit = {i: _F1}
-                while row:
-                    c = min(row)
-                    entry = im_pivots.get(c)
-                    if entry is None:
-                        inv = _F1 / row[c]
-                        im_pivots[c] = (
-                            {cc: v * inv for cc, v in row.items()},
-                            {cc: v * inv for cc, v in wit.items()},
-                        )
-                        break
-                    coef = row.pop(c)
-                    _submul(row, entry[0], coef, c)
-                    _submul(wit, entry[1], coef, None)
-
-        kernel = []
-        pivots = {}
-        for i, m in enumerate(self.basis(k)):
-            row = dict(self.d_row(m, k))
-            wit = {i: _F1}
-            while row:
-                c = min(row)
-                entry = pivots.get(c)
-                if entry is None:
-                    inv = _F1 / row[c]
-                    pivots[c] = (
-                        {cc: v * inv for cc, v in row.items()},
-                        {cc: v * inv for cc, v in wit.items()},
-                    )
-                    break
-                coef = row.pop(c)
-                _submul(row, entry[0], coef, c)
-                _submul(wit, entry[1], coef, None)
-            else:
-                kernel.append(wit)
-
+                im.insert(self.d_row(m, k - 1), {i: _F1})
+        quo = _Echelon(im.pivots)
         h_rows = []
-        h_pivots = {}
-        for v in kernel:
-            z = dict(v)
-            while z:
-                c = min(z)
-                if c in im_pivots:
-                    _submul(z, im_pivots[c][0], z.pop(c), c)
-                elif c in h_pivots:
-                    _submul(z, h_rows[h_pivots[c]], z.pop(c), c)
-                else:
-                    inv = _F1 / z[c]
-                    h_pivots[c] = len(h_rows)
-                    h_rows.append({cc: val * inv for cc, val in z.items()})
-                    break
-        got = _CohData(im_pivots, h_rows, h_pivots)
+        for wit in _kernel(self.d_row(m, k) for m in self.basis(k)):
+            lead = quo.insert(wit)
+            if lead is not None:
+                quo.wits[lead] = {len(h_rows): _F1}
+                h_rows.append(quo.pivots[lead])
+        got = _CohData(im, quo, h_rows)
         self._coh[k] = got
         return got
 
@@ -605,22 +599,11 @@ class _Engine:
 
     def project(self, row, k):
         """Coordinates of a cocycle row in the H^k representative basis."""
-        data = self.coh(k)
-        z = dict(row)
-        coords = {}
-        while z:
-            c = min(z)
-            if c in data.im_pivots:
-                _submul(z, data.im_pivots[c][0], z.pop(c), c)
-            elif c in data.h_pivots:
-                idx = data.h_pivots[c]
-                coef = z.pop(c)
-                coords[idx] = coords.get(idx, _F0) + coef
-                _submul(z, data.h_rows[idx], coef, c)
-            else:
-                raise Inconsistent(
-                    f"degree-{k} class escaped the computed decomposition")
-        return {i: v for i, v in coords.items() if v}
+        wit = {}
+        if self.coh(k).quo.reduce(row, wit):
+            raise Inconsistent(
+                f"degree-{k} class escaped the computed decomposition")
+        return {i: -v for i, v in wit.items()}
 
     def project_poly(self, poly, k):
         idx = self.bindex(k)
@@ -628,25 +611,12 @@ class _Engine:
 
     def solve_d(self, poly, k):
         """A primitive w with d(w) = poly, as a degree k-1 polynomial."""
-        data = self.coh(k)
         idx = self.bindex(k)
-        z = {idx[m]: c for m, c in poly.items()}
         wit = {}
-        while z:
-            c = min(z)
-            entry = data.im_pivots.get(c)
-            if entry is None:
-                raise Inconsistent(f"degree-{k} cochain is not exact")
-            coef = z.pop(c)
-            _submul(z, entry[0], coef, c)
-            for cc, v in entry[1].items():
-                nv = wit.get(cc, _F0) + coef * v
-                if nv:
-                    wit[cc] = nv
-                else:
-                    wit.pop(cc, None)
+        if self.coh(k).im.reduce({idx[m]: c for m, c in poly.items()}, wit):
+            raise Inconsistent(f"degree-{k} cochain is not exact")
         basis = self.basis(k - 1)
-        return {basis[c]: v for c, v in wit.items()}
+        return {basis[c]: -v for c, v in wit.items()}
 
     def cup_coords(self, k1, i1, k2, i2):
         prod = _poly_mul(
@@ -807,33 +777,14 @@ def _tower_stage(P, model, psi, j):
         for i in range(M.betti(deg)):
             span.insert(image_coords(deg, i))
         for i in range(A.betti(deg)):
-            if span.insert({i: _F1}):
+            if span.insert({i: _F1}) is not None:
                 adds.append((
                     f"v{next(fresh)}", deg, {}, A.h_rep_poly(deg, i),
                 ))
 
     for deg in range(2, j + 2):
-        pivots = {}
-        kernel = []
-        for i in range(M.betti(deg)):
-            row = image_coords(deg, i)
-            wit = {i: _F1}
-            while row:
-                c = min(row)
-                entry = pivots.get(c)
-                if entry is None:
-                    inv = _F1 / row[c]
-                    pivots[c] = (
-                        {cc: v * inv for cc, v in row.items()},
-                        {cc: v * inv for cc, v in wit.items()},
-                    )
-                    break
-                coef = row.pop(c)
-                _submul(row, entry[0], coef, c)
-                _submul(wit, entry[1], coef, None)
-            else:
-                kernel.append(wit)
-        for combo in kernel:
+        rows = (image_coords(deg, i) for i in range(M.betti(deg)))
+        for combo in _kernel(rows):
             z_poly = {}
             for i, c in combo.items():
                 _poly_add_into(z_poly, M.h_rep_poly(deg, i), c)
@@ -894,14 +845,15 @@ def _check_chain_map(P, model, psi):
 
 def _model(P, j, degree_cap=None, stage_cap=32):
     eng = _engine(P)
-    got = eng._models.get(j)
+    key = (j, degree_cap, stage_cap)
+    got = eng._models.get(key)
     if got is None:
         got = _tower(P, j, degree_cap, stage_cap)
         if got[0] is P:
             # None stands for P itself, so the engine holds no
             # reference back to its presentation.
             got = (None,) + got[1:]
-        eng._models[j] = got
+        eng._models[key] = got
     model, psi, stabilized = got
     return (P if model is None else model), psi, stabilized
 
@@ -967,14 +919,11 @@ def _top_functional(eng, n2):
     the last column gives every value, and phi agrees with
     project(...)[0] on cocycles.
     """
-    data = eng.coh(n2)
+    quo = eng.coh(n2).quo
     vals = {}
-    for c in sorted(set(data.im_pivots) | set(data.h_pivots), reverse=True):
-        entry = data.im_pivots.get(c)
-        if entry is None:
-            row, v = data.h_rows[data.h_pivots[c]], _F1
-        else:
-            row, v = entry[0], _F0
+    for c in sorted(quo.pivots, reverse=True):
+        row = quo.pivots[c]
+        v = quo.wits[c][0] if c in quo.wits else _F0
         for cc, x in row.items():
             if cc != c and cc in vals:
                 v -= x * vals[cc]

@@ -119,8 +119,16 @@ def _even_counts(tc):
 
 
 def multiplicities(A):
-    """The unique multiplicity table of A, with dimension audit."""
+    """The unique multiplicity table of A, with dimension audit.
+
+    Cached on the TotalComplex, so every condition asked of one tc
+    shares one census.
+    """
     tc = A if isinstance(A, TotalComplex) else TotalComplex(A)
+    return tc._get(("multiplicities",), lambda: _census(tc))
+
+
+def _census(tc):
     counts = _square_counts(tc.A)
     for shape, v in _odd_counts(tc).items():
         counts[shape] = counts.get(shape, 0) + v

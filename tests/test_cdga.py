@@ -300,6 +300,12 @@ class TestMinimalModel:
         model, psi = exc.value.partial
         assert isinstance(model, CdgaPresentation)
 
+    def test_caps_apply_after_a_cached_call(self):
+        P = CdgaPresentation([("x", 1), ("y", 2)], {}, 2)
+        assert j_minimal_model(P, 1)[2]
+        with pytest.raises(NotStabilized):
+            j_minimal_model(P, 1, stage_cap=1)
+
     def test_degree_cap_raises(self):
         P = CdgaPresentation(
             [("x", 1), ("y", 2), ("z", 2)], {"x": "y"}, 4)

@@ -31,8 +31,9 @@ from zzcalc.conditions import (
     numeric_report,
     purity_diagram,
 )
+from zzcalc import decomposition
 from zzcalc.decomposition import realize
-from zzcalc.functors import purity_defect
+from zzcalc.functors import TotalComplex, purity_defect
 
 from test_bicomplex import small_complexes
 from test_decomposition import tables_strategy
@@ -146,6 +147,22 @@ class TestNumerics:
         report = numeric_report(zigzag((1, 2), 5, "horizontal"))
         assert report.slacks == (1, 2, 0)
         assert report.equalities == (False, False, True)
+
+
+    def test_census_shared_with_check_ddc3(self, monkeypatch):
+        calls = []
+        real = decomposition._square_counts
+
+        def counted(A):
+            calls.append(A)
+            return real(A)
+
+        monkeypatch.setattr(decomposition, "_square_counts", counted)
+        tc = TotalComplex(direct_sum(
+            make_zigzag(OUT_L), zigzag((1, 2), 5, "horizontal")))
+        check_ddc3(tc)
+        assert numeric_report(tc).slacks == (2, 2, 0)
+        assert len(calls) == 1
 
 
 class TestPurityDiagram:

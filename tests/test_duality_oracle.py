@@ -64,11 +64,11 @@ def phi_by_reduction(eng, n2):
         while z:
             lead = min(z)
             coef = z.pop(lead)
-            if lead in data.im_pivots:
-                cdga._submul(z, data.im_pivots[lead][0], coef, lead)
-            elif lead in data.h_pivots:
+            if lead in data.im.pivots:
+                cdga._submul(z, data.im.pivots[lead], coef, lead)
+            elif lead in data.quo.pivots:
                 val += coef
-                cdga._submul(z, data.h_rows[data.h_pivots[lead]], coef, lead)
+                cdga._submul(z, data.quo.pivots[lead], coef, lead)
         if val:
             out[mono] = val
     return out
