@@ -67,7 +67,14 @@ __all__ = [
     "from_json",
     "dumps",
     "loads",
+    "DEGREE_CAP",
 ]
+
+# Size guard for bicomplex input: from_json refuses a total degree of
+# larger dimension before building any matrix.  Exact elimination over
+# Q(i) on a few hundred coordinates already takes tens of seconds, and
+# every input the package's tests and benchmark build stays below 100.
+DEGREE_CAP = 512
 
 
 # ---------------------------------------------------------------------------
@@ -864,6 +871,14 @@ def from_json(obj):
         if type(dim) is not int or dim < 0:
             raise InvalidInput(f"bad dimension {dim!r} at {key!r}")
         spaces[_parse_pq(key)] = dim
+    by_degree = {}
+    for (p, q), dim in spaces.items():
+        by_degree[p + q] = by_degree.get(p + q, 0) + dim
+    for k, n in sorted(by_degree.items()):
+        if n > DEGREE_CAP:
+            raise InvalidInput(
+                f"total degree {k} has dimension {n}, above the cap of {DEGREE_CAP}"
+            )
 
     def read(which, step):
         maps = {}

@@ -471,12 +471,15 @@ class _Echelon:
         return len(self.pivots)
 
 
-def _kernel(rows):
+def _kernel(rows, ech=None):
     """Witnesses {i: coef} of the rows that reduce to zero, in order.
 
-    Each witness w is a relation: sum of w[i] * rows[i] is zero.
+    Each witness w is a relation: sum of w[i] * rows[i] is zero.  The
+    other rows become pivots of ech, the i-th witnessed by {i: 1} as
+    reduced along the way.
     """
-    ech = _Echelon()
+    if ech is None:
+        ech = _Echelon()
     out = []
     for i, row in enumerate(rows):
         wit = {i: _F1}
@@ -512,6 +515,8 @@ class _Engine:
         self._bindex = {}
         self._drow = {}
         self._coh = {}
+        self._d_echs = {}
+        self._ker_wits = {}
         self._spans = {}
         self._models = {}
 
@@ -571,17 +576,29 @@ class _Engine:
             self._drow[mono] = got
         return got
 
+    def _eliminate(self, k):
+        """Reduce d out of degree k once.  Its echelon is Im d for
+        coh(k+1) and its relations are Ker d for coh(k); each waits here
+        until that call takes it."""
+        ech = _Echelon()
+        self._ker_wits[k] = _kernel(
+            (self.d_row(m, k) for m in self.basis(k)), ech)
+        self._d_echs[k] = ech
+
     def coh(self, k):
         got = self._coh.get(k)
         if got is not None:
             return got
         im = _Echelon()
         if k > 0:
-            for i, m in enumerate(self.basis(k - 1)):
-                im.insert(self.d_row(m, k - 1), {i: _F1})
+            if k - 1 not in self._d_echs:
+                self._eliminate(k - 1)
+            im = self._d_echs.pop(k - 1)
+        if k not in self._ker_wits:
+            self._eliminate(k)
         quo = _Echelon(im.pivots)
         h_rows = []
-        for wit in _kernel(self.d_row(m, k) for m in self.basis(k)):
+        for wit in self._ker_wits.pop(k):
             lead = quo.insert(wit)
             if lead is not None:
                 quo.wits[lead] = {len(h_rows): _F1}

@@ -29,7 +29,10 @@ are coordinate index lists.  Ker d ∩ F^p and the spectral-sequence terms
 Z_r = F^a ∩ d^{-1}(F^{a+r}) are kernels of submatrices of d: keep the
 columns of level >= p (or >= a), and every row (or the rows of level
 < a+r).  The row spectral sequence is the q-filtration of the same
-total complex.
+total complex.  The Hodge filtrations are intersected and summed in H^k
+coordinates: one linear map on degree-k cocycles, with kernel exactly
+Im d, carries each Ker d ∩ F^p and Ker d ∩ Fbar^q to a subspace of
+Q(i)^{b_k}, and every lattice operation runs there.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from .linalg import (
     preimage,
     subspace_intersect,
     subspace_sum,
+    zero_subspace,
 )
 
 __all__ = [
@@ -367,12 +371,58 @@ def _kerd_F(tc, k, axis, level):
     return tc.d_kernel(k, tc.filtration_index(k, axis, level), range(tc.dim(k + 1)))
 
 
+def _lead(row):
+    return next(i for i, x in enumerate(row) if not x.is_zero())
+
+
+def _h_map(tc, k):
+    """h_k: degree-k cocycles to Q(i)^{b_k}, with kernel exactly Im d.
+
+    A vector is reduced modulo the reduced echelon basis of Im d and
+    kept on the columns that are not Im d pivots.  Ker d reduced the
+    same way has a reduced echelon basis of b_k rows, and a reduced
+    cocycle's entries at their pivot columns are its coordinates in
+    that basis, so h_k maps the subspaces between Im d and Ker d
+    isomorphically, as a lattice, onto the subspaces of Q(i)^{b_k}.
+    """
+    steps = []
+    for row in tc.im_d(k).basis:
+        c = _lead(row)
+        # reduced echelon: every other entry sits in a non-pivot column
+        steps.append((c, [(j, x) for j, x in enumerate(row) if j > c and not x.is_zero()]))
+    pivots = {c for c, _ in steps}
+    free = [j for j in range(tc.dim(k)) if j not in pivots]
+
+    def reduce(v):
+        v = list(v)
+        for c, entries in steps:
+            a = v[c]
+            if not a.is_zero():
+                for j, x in entries:
+                    v[j] = v[j] - a * x
+        return [v[j] for j in free]
+
+    quo = Subspace(len(free), [reduce(v) for v in tc.ker_d(k).basis])
+    if quo.dim != tc.betti(k):
+        raise Inconsistent(
+            f"H^{k} coordinates have rank {quo.dim} on Ker d, not b_{k} = {tc.betti(k)}"
+        )
+    cols = [_lead(row) for row in quo.basis]
+
+    def h(v):
+        r = reduce(v)
+        return tuple(r[c] for c in cols)
+
+    return h
+
+
 def hodge_filtration(A):
     """Filtration data of the de Rham cohomology of A.
 
     F^p H^k is the space of classes representable by elements of
     column-filtration level >= p; in subspace terms the image of
-    (Ker d ∩ F^p) + Im d in Ker d / Im d.
+    Ker d ∩ F^p in Ker d / Im d.  Every intersection and sum of these
+    images runs in H^k coordinates, on subspaces of Q(i)^{b_k}.
     """
     return _tc(A).filtration()
 
@@ -386,14 +436,17 @@ def _compute_filtration(tc):
             continue
         ps = sorted({pq[0] for pq, _, _ in blocks})
         qs = sorted({pq[1] for pq, _, _ in blocks})
-        im = tc.im_d(k)
+        h = _h_map(tc, k)
 
-        V = {p: subspace_sum(_kerd_F(tc, k, 0, p), im) for p in range(ps[0], ps[-1] + 2)}
-        W = {q: subspace_sum(_kerd_F(tc, k, 1, q), im) for q in range(qs[0], qs[-1] + 2)}
+        def coords(axis, level):
+            return Subspace(bk, [h(v) for v in _kerd_F(tc, k, axis, level).basis])
+
+        V = {p: coords(0, p) for p in range(ps[0], ps[-1] + 2)}
+        W = {q: coords(1, q) for q in range(qs[0], qs[-1] + 2)}
         for p in V:
-            table.F[(p, k)] = V[p].dim - im.dim
+            table.F[(p, k)] = V[p].dim
         for q in W:
-            table.Fbar[(q, k)] = W[q].dim - im.dim
+            table.Fbar[(q, k)] = W[q].dim
 
         VW = {}
         for p in V:
@@ -401,7 +454,7 @@ def _compute_filtration(tc):
                 VW[(p, q)] = subspace_intersect(V[p], W[q])
         for p in range(ps[0], ps[-1] + 1):
             for q in range(qs[0], qs[-1] + 1):
-                table.FcapFbar[(p, q, k)] = VW[(p, q)].dim - im.dim
+                table.FcapFbar[(p, q, k)] = VW[(p, q)].dim
                 upper = subspace_sum(VW[(p + 1, q)], VW[(p, q + 1)])
                 r = VW[(p, q)].dim - upper.dim
                 if r:
@@ -409,14 +462,14 @@ def _compute_filtration(tc):
 
         # total filtration, descending in r = p + q
         rs = range(ps[0] + qs[0], ps[-1] + qs[-1] + 2)
-        prev = im  # Ftot^r for r beyond the top is just Im d
+        prev = zero_subspace(bk)  # Ftot^r for r beyond the top
         for r in reversed(rs):
             cur = prev
             for p in V:
                 q = r - p
                 if q in W:
                     cur = subspace_sum(cur, VW[(p, q)])
-            table.Ftot[(r, k)] = cur.dim - im.dim
+            table.Ftot[(r, k)] = cur.dim
             prev = cur
         if bk:
             refined_sum = sum(

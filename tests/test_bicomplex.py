@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zzcalc.bicomplex import (
+    DEGREE_CAP,
     Bicomplex,
     MultiplicityTable,
     dc,
@@ -329,6 +330,15 @@ class TestJson:
             from_json(
                 {"spaces": {"0,0": 1}, "del": {"0,0": [["1"]]}}
             )
+
+    def test_degree_cap(self):
+        from_json({"spaces": {"0,0": DEGREE_CAP}})
+        for k, spaces in (
+            (0, {"0,0": DEGREE_CAP + 1}),
+            (1, {"0,1": DEGREE_CAP // 2, "1,0": DEGREE_CAP // 2 + 1, "0,0": 1}),
+        ):
+            with pytest.raises(InvalidInput, match=f"total degree {k} has dimension"):
+                from_json({"spaces": spaces})
 
     def test_load_validates_the_identities(self):
         obj = {

@@ -6,7 +6,9 @@ reduced through Im d, `project`, `solve_d` and the kernel of a tower
 stage.  Before that, each was its own pivot walk; those walks are kept
 here, unchanged, as the oracle.  Both make the same row operations in
 the same order, so pivots, witnesses, representatives, coordinates,
-primitives and tower adds must agree exactly.
+primitives and tower adds must agree exactly.  (The old coh also
+eliminates d out of degree k twice, where the engine shares one pass
+between coh(k) and coh(k+1).)
 """
 
 import itertools
@@ -257,6 +259,37 @@ def test_coh_matches_old_loops(name):
         assert new_h_pivots(got) == want.h_pivots
         rows = [new.d_row(m, k) for m in new.basis(k)]
         assert cdga._kernel(rows) == old.kernels[k]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_coh_independent_of_call_order(name):
+    """d out of degree k is eliminated by whichever of coh(k), coh(k+1)
+    comes first and handed to the other, so the order cannot matter."""
+    P = CASES[name]()
+    up, down = cdga._Engine(P), cdga._Engine(P)
+    top = P.formal_dimension + 1
+    for k in reversed(range(top + 1)):
+        down.coh(k)
+    for k in range(top + 1):
+        a, b = up.coh(k), down.coh(k)
+        assert (a.im.pivots, a.im.wits, a.h_rows) == (b.im.pivots, b.im.wits, b.h_rows)
+    assert not up._ker_wits and not down._ker_wits
+
+
+def test_each_degree_eliminated_once(monkeypatch):
+    calls = []
+    insert = cdga._Echelon.insert
+
+    def counted(self, *args):
+        calls.append(1)
+        return insert(self, *args)
+
+    monkeypatch.setattr(cdga._Echelon, "insert", counted)
+    eng = cdga._Engine(preset("filiform(10)"))
+    for k in range(11):
+        eng.coh(k)
+    # 2611 when coh(k) and coh(k+1) each eliminate d out of degree k
+    assert len(calls) == 1588
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

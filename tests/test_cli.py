@@ -6,17 +6,26 @@ follow the convention 0 computed/holds, 1 condition fails, 2 input
 error, 3 internal invariant violation.
 """
 
+import contextlib
+import copy
 import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zzcalc import cli
 from zzcalc.bicomplex import (
     MultiplicityTable,
+    direct_sum,
     dual,
     dumps,
     from_json,
+    make_dot,
+    make_square,
+    make_zigzag,
     scramble,
     square_shape,
     zigzag_shape,
@@ -517,3 +526,71 @@ def test_pipe_build_into_check(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(blob))
     assert cli.run(["check", "--ddc3"]) == 0
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed bicomplex JSON: every mutation is either computed on or refused.
+
+def _fuzz_base():
+    A = direct_sum(make_square((0, 0)), make_dot((2, 0)))
+    A = direct_sum(A, make_zigzag(zigzag_shape((0, 1), 3, "horizontal")))
+    obj = json.loads(dumps(A))
+    obj["labels"] = {key: [f"e{key}_{i}" for i in range(dim)]
+                     for key, dim in obj["spaces"].items()}
+    return obj
+
+
+FUZZ_BASE = _fuzz_base()
+FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 6), st.text(max_size=4),
+    st.lists(st.integers(-1, 2), max_size=3), st.builds(dict), st.builds(lambda: [[]]),
+)
+
+
+def _paths(obj, path=()):
+    """The path of every value inside a JSON value, the root excluded."""
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def mutated_bicomplex(draw):
+    obj = copy.deepcopy(FUZZ_BASE)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(obj))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        op = draw(st.sampled_from(("drop", "swap", "dim")))
+        if op == "drop":
+            del parent[path[-1]]
+        elif op == "swap":
+            parent[path[-1]] = draw(FUZZ_VALUES)
+        elif isinstance(obj.get("spaces"), dict) and obj["spaces"]:
+            key = draw(st.sampled_from(sorted(obj["spaces"])))
+            obj["spaces"][key] = draw(st.integers(-2, 5))
+    return obj
+
+
+@given(
+    obj=mutated_bicomplex(),
+    verb=st.sampled_from((["validate"], ["check", "--ddc3"], ["filtration"], ["decompose"])),
+)
+@example(obj={"spaces": {"0,0": 1000000000}}, verb=["check", "--ddc3"])
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_bicomplex_json_exits_cleanly(obj, verb):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(obj))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(verb + ["-"])
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        # validate reports on stdout, every other verb on stderr
+        assert "error:" in out.getvalue() + err.getvalue()

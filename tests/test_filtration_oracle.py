@@ -3,9 +3,11 @@
 The oracle route builds F^p and Fbar^q as coordinate subspaces, reaches
 Z_r^{p,q} = F^p ∩ d^{-1}(F^{p+r}) through a preimage and an
 intersection, cuts the Hodge filtrations out of Ker d by intersection,
+intersects them in the full degree-k ambient (each containing Im d),
 and reads the row spectral sequence as the column sequence of the
 transposed bicomplex.  The library route must give the same subspaces,
-pages and filtration tables.
+pages and filtration tables, and its H^k coordinate map must kill Im d
+and have rank b_k on Ker d.
 """
 
 import json
@@ -15,16 +17,27 @@ import random
 import pytest
 
 from zzcalc import functors
-from zzcalc.bicomplex import make_zigzag, scramble, transpose_bicomplex, zigzag_shape
+from zzcalc.bicomplex import (
+    MultiplicityTable,
+    dot_shape,
+    make_zigzag,
+    scramble,
+    square_shape,
+    transpose_bicomplex,
+    zigzag_shape,
+)
 from zzcalc.decomposition import realize
-from zzcalc.functors import TotalComplex, hodge_filtration, spectral_page
+from zzcalc.errors import Inconsistent
+from zzcalc.functors import FiltrationTable, TotalComplex, hodge_filtration, spectral_page
 from zzcalc.linalg import (
+    Subspace,
     apply_matrix,
     coordinate_subspace,
     preimage,
     subspace_intersect,
     subspace_sum,
 )
+from zzcalc.models import product_model
 
 from test_acceptance import random_table
 
@@ -107,27 +120,85 @@ def assert_pages_agree(A):
         assert functors._Z(tc, 0, *key) == Z, key
 
 
-def assert_filtrations_agree(A, monkeypatch):
+def old_kerd_F(tc, k, axis, level):
+    """Ker d ∩ F^level by intersection with a coordinate subspace."""
+    return subspace_intersect(tc.ker_d(k), coordinate_filtration(tc, k, axis, level))
+
+
+def old_compute_filtration(tc):
+    """The filtration in the full degree-k ambient: V and W contain Im d,
+    and every V[p] ∩ W[q] is a Zassenhaus intersection there."""
+    table = FiltrationTable()
+    for k in tc.degrees():
+        bk = tc.betti(k)
+        blocks = tc.blocks(k)
+        if not blocks:
+            continue
+        ps = sorted({pq[0] for pq, _, _ in blocks})
+        qs = sorted({pq[1] for pq, _, _ in blocks})
+        im = tc.im_d(k)
+
+        V = {p: subspace_sum(old_kerd_F(tc, k, 0, p), im) for p in range(ps[0], ps[-1] + 2)}
+        W = {q: subspace_sum(old_kerd_F(tc, k, 1, q), im) for q in range(qs[0], qs[-1] + 2)}
+        for p in V:
+            table.F[(p, k)] = V[p].dim - im.dim
+        for q in W:
+            table.Fbar[(q, k)] = W[q].dim - im.dim
+
+        VW = {}
+        for p in V:
+            for q in W:
+                VW[(p, q)] = subspace_intersect(V[p], W[q])
+        for p in range(ps[0], ps[-1] + 1):
+            for q in range(qs[0], qs[-1] + 1):
+                table.FcapFbar[(p, q, k)] = VW[(p, q)].dim - im.dim
+                upper = subspace_sum(VW[(p + 1, q)], VW[(p, q + 1)])
+                r = VW[(p, q)].dim - upper.dim
+                if r:
+                    table.refined[(p, q, k)] = r
+
+        # total filtration, descending in r = p + q
+        rs = range(ps[0] + qs[0], ps[-1] + qs[-1] + 2)
+        prev = im  # Ftot^r for r beyond the top is just Im d
+        for r in reversed(rs):
+            cur = prev
+            for p in V:
+                q = r - p
+                if q in W:
+                    cur = subspace_sum(cur, VW[(p, q)])
+            table.Ftot[(r, k)] = cur.dim - im.dim
+            prev = cur
+        if bk:
+            refined_sum = sum(
+                v for (_, _, kk), v in table.refined.items() if kk == k
+            )
+            if table.Ftot[(rs[0], k)] != bk or refined_sum != bk:
+                raise Inconsistent(
+                    f"filtration of degree {k} does not exhaust H^{k}"
+                )
+    return table
+
+
+def assert_h_map(tc):
+    """h_k kills Im d and has rank b_k on Ker d, in every degree."""
+    for k in tc.degrees():
+        h, bk = functors._h_map(tc, k), tc.betti(k)
+        assert all(all(x.is_zero() for x in h(v)) for v in tc.im_d(k).basis), k
+        images = [h(v) for v in tc.ker_d(k).basis]
+        assert all(len(x) == bk for x in images), k
+        assert Subspace(bk, images).dim == bk, k
+
+
+def assert_filtrations_agree(A):
     tc = TotalComplex(A)
     for k in tc.degrees():
         for axis in (0, 1):
             levels = {pq[axis] for pq, _, _ in tc.blocks(k)}
             for level in range(min(levels, default=0) - 1, max(levels, default=0) + 2):
-                old = subspace_intersect(
-                    tc.ker_d(k), coordinate_filtration(tc, k, axis, level)
-                )
+                old = old_kerd_F(tc, k, axis, level)
                 assert functors._kerd_F(tc, k, axis, level) == old, (k, axis, level)
-    new = hodge_filtration(tc)
-    with monkeypatch.context() as m:
-        m.setattr(
-            functors,
-            "_kerd_F",
-            lambda tc, k, axis, level: subspace_intersect(
-                tc.ker_d(k), coordinate_filtration(tc, k, axis, level)
-            ),
-        )
-        old = functors._compute_filtration(TotalComplex(A))
-    assert new == old
+    assert_h_map(tc)
+    assert hodge_filtration(tc) == old_compute_filtration(TotalComplex(A))
 
 
 def scrambled_sums(count, seed=20261018):
@@ -145,14 +216,47 @@ SUMS = scrambled_sums(8)
 
 
 @pytest.mark.parametrize("A", SUMS, ids=[f"sum{i}" for i in range(len(SUMS))])
-def test_scrambled_sums(A, monkeypatch):
+def test_scrambled_sums(A):
     assert_pages_agree(A)
-    assert_filtrations_agree(A, monkeypatch)
+    assert_filtrations_agree(A)
 
 
 @pytest.mark.parametrize("key", sorted(json.loads(GOLDEN.read_text())))
-def test_golden_calibration_shapes(key, monkeypatch):
+def test_golden_calibration_shapes(key):
     length, first = key.split(",")
     A = make_zigzag(zigzag_shape((0, 10), int(length), first))
     assert_pages_agree(A)
-    assert_filtrations_agree(A, monkeypatch)
+    assert_filtrations_agree(A)
+
+
+def test_padded_product_filtration():
+    """The 225-dimensional product of two padded duality-closed sums
+    (degree width up to 86), as in the product purity-defect test."""
+
+    def closed_sum(anchor):
+        return realize(MultiplicityTable({
+            zigzag_shape(anchor, 5, "horizontal"): 1,
+            zigzag_shape(anchor, 5, "vertical"): 1,
+            dot_shape(0, 0): 1,
+            square_shape(1, 0): 1,
+        }))
+
+    P = product_model(closed_sum((0, 1)), closed_sum((1, 0)))
+    assert P.total_dim() == 225
+    assert_filtrations_agree(P)
+
+
+def test_filtration_intersects_in_cohomology_coordinates(monkeypatch):
+    seen = []
+    intersect = functors.subspace_intersect
+
+    def recorded(U, V):
+        seen.append(U.ambient_dim)
+        return intersect(U, V)
+
+    monkeypatch.setattr(functors, "subspace_intersect", recorded)
+    tc = TotalComplex(SUMS[1])
+    hodge_filtration(tc)
+    assert seen
+    # sum1 has degree widths up to 10 and Betti numbers up to 2
+    assert set(seen) <= {tc.betti(k) for k in tc.degrees()}
