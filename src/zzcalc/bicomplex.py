@@ -32,7 +32,7 @@ from .errors import (
     NotABicomplex,
     ShapeMismatch,
 )
-from .linalg import I, ONE, ZERO, Matrix, Scalar
+from .linalg import Matrix, _block_matrix, _kron
 
 __all__ = [
     "Bicomplex",
@@ -482,8 +482,8 @@ def make_square(pq):
     del*delbar + delbar*del = 0."""
     p, q = pq
     spaces = {(p, q): 1, (p + 1, q): 1, (p, q + 1): 1, (p + 1, q + 1): 1}
-    neg = Matrix([[Scalar(-1)]])
-    one = Matrix([[ONE]])
+    neg = Matrix([[-1]])
+    one = Matrix([[1]])
     return Bicomplex(
         spaces,
         del_maps={(p, q): one, (p, q + 1): neg},
@@ -506,7 +506,7 @@ def realize_shape(s):
         return make_square(s.anchor)
     ents = shape_entries(s)
     spaces = {e: 1 for e in ents}
-    one = Matrix([[ONE]])
+    one = Matrix([[1]])
     del_maps = {}
     delbar_maps = {}
     for si, ti, which in shape_arrows(s):
@@ -539,21 +539,13 @@ def direct_sum(A, B):
         for pq in set(amaps) | set(bmaps):
             p, q = pq
             tp, tq = p + step[0], q + step[1]
-            rows = A.dim(tp, tq) + B.dim(tp, tq)
-            cols = A.dim(p, q) + B.dim(p, q)
-            m = [[ZERO] * cols for _ in range(rows)]
-            am = amaps.get(pq)
-            if am is not None:
-                for i in range(am.rows):
-                    for j in range(am.cols):
-                        m[i][j] = am.data[i][j]
-            bm = bmaps.get(pq)
-            if bm is not None:
-                r0, c0 = A.dim(tp, tq), A.dim(p, q)
-                for i in range(bm.rows):
-                    for j in range(bm.cols):
-                        m[r0 + i][c0 + j] = bm.data[i][j]
-            out[pq] = Matrix(m, rows, cols)
+            r0, c0 = A.dim(tp, tq), A.dim(p, q)
+            blocks = []
+            if pq in amaps:
+                blocks.append((0, 0, amaps[pq], (1, 0)))
+            if pq in bmaps:
+                blocks.append((r0, c0, bmaps[pq], (1, 0)))
+            out[pq] = _block_matrix(r0 + B.dim(tp, tq), c0 + B.dim(p, q), blocks)
         return out
 
     labels = None
@@ -614,51 +606,31 @@ def tensor(A, B):
 
     def build(which):
         step = (1, 0) if which == "del" else (0, 1)
+        amaps = A.del_maps if which == "del" else A.delbar_maps
+        bmaps = B.del_maps if which == "del" else B.delbar_maps
         maps = {}
         for (p, q), dim_src in spaces.items():
             tp, tq = p + step[0], q + step[1]
             dim_tgt = spaces.get((tp, tq), 0)
             if not dim_tgt:
                 continue
-            rows = [[ZERO] * dim_src for _ in range(dim_tgt)]
-            src_off = offsets[(p, q)]
             tgt_off = offsets[(tp, tq)]
-            wrote = False
-            for (rs, uv), base in src_off.items():
+            blocks = []
+            for (rs, uv), base in offsets[(p, q)].items():
                 (r, s), (u, v) = rs, uv
-                da, db = A.dim(r, s), B.dim(u, v)
                 # differential on the A factor
-                fa = (A.del_at(r, s) if which == "del" else A.delbar_at(r, s))
                 key = ((r + step[0], s + step[1]), uv)
-                if key in tgt_off and not fa.is_zero():
-                    tbase = tgt_off[key]
-                    da2 = A.dim(r + step[0], s + step[1])
-                    for ai in range(da2):
-                        for aj in range(da):
-                            c = fa.data[ai][aj]
-                            if c.is_zero():
-                                continue
-                            for bj in range(db):
-                                rows[tbase + ai * db + bj][base + aj * db + bj] = c
-                                wrote = True
+                if rs in amaps and key in tgt_off:
+                    fa = _kron(amaps[rs], Matrix.identity(B.dim(u, v)))
+                    blocks.append((tgt_off[key], base, fa, (1, 0)))
                 # differential on the B factor, with the Koszul sign
-                fb = (B.del_at(u, v) if which == "del" else B.delbar_at(u, v))
                 key = (rs, (u + step[0], v + step[1]))
-                if key in tgt_off and not fb.is_zero():
-                    tbase = tgt_off[key]
-                    db2 = B.dim(u + step[0], v + step[1])
-                    sign = ONE if (r + s) % 2 == 0 else Scalar(-1)
-                    for bi in range(db2):
-                        for bj in range(db):
-                            c = fb.data[bi][bj]
-                            if c.is_zero():
-                                continue
-                            c = c * sign
-                            for aj in range(da):
-                                rows[tbase + aj * db2 + bi][base + aj * db + bj] = c
-                                wrote = True
-            if wrote:
-                maps[(p, q)] = Matrix(rows, dim_tgt, dim_src)
+                if uv in bmaps and key in tgt_off:
+                    fb = _kron(Matrix.identity(A.dim(r, s)), bmaps[uv])
+                    sign = 1 if (r + s) % 2 == 0 else -1
+                    blocks.append((tgt_off[key], base, fb, (sign, 0)))
+            if blocks:
+                maps[(p, q)] = _block_matrix(dim_tgt, dim_src, blocks)
         return maps
 
     return Bicomplex(spaces, build("del"), build("delbar"))
@@ -676,7 +648,7 @@ def dual(A, n):
     delbar_maps = {}
     for (p, q) in spaces:
         t = p + q
-        sign = Scalar(-1) if (t - 1) % 2 else ONE
+        sign = -1 if (t - 1) % 2 else 1
         src = A.del_maps.get((n - p - 1, n - q))
         if src is not None and A.dim(n - p - 1, n - q):
             m = src.transpose() * sign
@@ -727,7 +699,7 @@ def _random_change_of_basis(rng, n):
     D = [rng.choice(_SCRAMBLE_DIAG) for _ in range(n)]
 
     def mat(rows):
-        return Matrix([[Scalar(x) for x in row] for row in rows], n, n)
+        return Matrix(rows, n, n)
 
     def inv_unit_lower(M):
         # forward substitution on columns of the identity
@@ -791,37 +763,30 @@ def degree_dim(A, k):
     return sum(d for _, _, d in degree_blocks(A, k))
 
 
-def _assemble(A, k, coeff_del, coeff_delbar):
-    src = degree_blocks(A, k)
-    tgt = degree_blocks(A, k + 1)
-    tgt_pos = {pq: (off, d) for pq, off, d in tgt}
-    rows = sum(d for _, _, d in tgt)
-    cols = sum(d for _, _, d in src)
-    m = [[ZERO] * cols for _ in range(rows)]
-    for (p, q), off, d in src:
-        for mat, coeff, tpq in (
-            (A.del_maps.get((p, q)), coeff_del, (p + 1, q)),
-            (A.delbar_maps.get((p, q)), coeff_delbar, (p, q + 1)),
+def _assemble(A, k, unit_del, unit_delbar):
+    """d-type matrix from degree k to k+1: each del block times the
+    Gaussian integer unit_del = (re, im), each delbar block times
+    unit_delbar."""
+    tgt_pos = {pq: off for pq, off, _ in degree_blocks(A, k + 1)}
+    blocks = []
+    for (p, q), off, _ in degree_blocks(A, k):
+        for mat, unit, tpq in (
+            (A.del_maps.get((p, q)), unit_del, (p + 1, q)),
+            (A.delbar_maps.get((p, q)), unit_delbar, (p, q + 1)),
         ):
-            if mat is None or tpq not in tgt_pos:
-                continue
-            toff, _ = tgt_pos[tpq]
-            for i in range(mat.rows):
-                for j in range(mat.cols):
-                    c = mat.data[i][j]
-                    if not c.is_zero():
-                        m[toff + i][off + j] = c * coeff
-    return Matrix(m, rows, cols)
+            if mat is not None and tpq in tgt_pos:
+                blocks.append((tgt_pos[tpq], off, mat, unit))
+    return _block_matrix(degree_dim(A, k + 1), degree_dim(A, k), blocks)
 
 
 def total_d(A, k):
     """Matrix of d = del + delbar from degree k to k+1 in block bases."""
-    return _assemble(A, k, ONE, ONE)
+    return _assemble(A, k, (1, 0), (1, 0))
 
 
 def dc(A, k):
     """Matrix of d^c = i(delbar - del) from degree k to k+1."""
-    return _assemble(A, k, Scalar(0, -1), I)
+    return _assemble(A, k, (0, -1), (0, 1))
 
 
 # ---------------------------------------------------------------------------

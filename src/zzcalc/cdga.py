@@ -188,7 +188,11 @@ def _tokenize(text):
                 if k == j + 1:
                     raise InvalidInput(
                         f"bad rational at position {i} in {text!r}")
-                tokens.append(Fraction(int(text[i:j]), int(text[j + 1:k])))
+                den = int(text[j + 1:k])
+                if not den:
+                    raise InvalidInput(
+                        f"zero denominator at position {i} in {text!r}")
+                tokens.append(Fraction(int(text[i:j]), den))
                 i = k
             else:
                 tokens.append(Fraction(int(text[i:j])))

@@ -829,3 +829,7 @@ def run(argv=None):
 
 def main(argv=None):
     sys.exit(run(argv))
+
+
+if __name__ == "__main__":
+    main()

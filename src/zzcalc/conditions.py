@@ -39,7 +39,7 @@ from .functors import (
     refined_betti,
     spectral_page,
 )
-from .linalg import format_scalar, subspace_intersect, subspace_sum
+from .linalg import _reduce, format_scalar, subspace_intersect, subspace_sum
 
 __all__ = [
     "LesRow",
@@ -222,12 +222,13 @@ def _e1_degenerate_both(tc):
 def _c3_witness(tc, rows):
     """First degree and vector with x in Im d ^ Im dc but not d(Ker dc)."""
     for k in sorted(rows):
-        dk = tc.d_ker_dc(k)
-        for vec in tc.imd_cap_imdc(k).basis:
-            if not dk.contains(vec):
+        dk = tc.d_ker_dc(k).rows
+        cap = tc.imd_cap_imdc(k)
+        for i, row in enumerate(cap.rows):
+            if _reduce(dk, row):
                 return {
                     "degree": k,
-                    "element": [format_scalar(x) for x in vec],
+                    "element": [format_scalar(x) for x in cap.basis[i]],
                 }
     raise Inconsistent("ddc+3 fails but no degree violates Im d ^ Im dc <= d Ker dc")
 

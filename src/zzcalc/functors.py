@@ -48,9 +48,10 @@ from .bicomplex import (
 )
 from .errors import Inconsistent, InvalidInput
 from .linalg import (
-    ZERO,
-    Matrix,
-    Subspace,
+    _kernel_rows,
+    _reduce,
+    _span,
+    _subspace,
     apply_matrix,
     image_basis,
     kernel_basis,
@@ -204,15 +205,13 @@ class TotalComplex:
         cols, rows = tuple(cols), tuple(rows)
 
         def build():
-            d = self.d(k).data
-            ker = kernel_basis(
-                Matrix([[d[i][j] for j in cols] for i in rows], len(rows), len(cols))
-            )
+            d = self.d(k).sparse
             at = {j: t for t, j in enumerate(cols)}
-            n = self.dim(k)
-            basis = [[v[at[j]] if j in at else ZERO for j in range(n)] for v in ker.basis]
-            # an increasing embedding of coordinates keeps the basis reduced
-            return Subspace(n, basis, _canonical=True)
+            sub = [{at[j]: v for j, v in d[i].items() if j in at} for i in rows]
+            # an increasing embedding of coordinates keeps the rows canonical
+            return _subspace(self.dim(k), [
+                {cols[t]: v for t, v in r.items()} for r in _kernel_rows(sub, len(cols))
+            ])
 
         return self._get(("d_kernel", k, cols, rows), build)
 
@@ -371,47 +370,36 @@ def _kerd_F(tc, k, axis, level):
     return tc.d_kernel(k, tc.filtration_index(k, axis, level), range(tc.dim(k + 1)))
 
 
-def _lead(row):
-    return next(i for i, x in enumerate(row) if not x.is_zero())
-
-
 def _h_map(tc, k):
-    """h_k: degree-k cocycles to Q(i)^{b_k}, with kernel exactly Im d.
+    """h_k: degree-k cocycles to Q(i)^{b_k}, with kernel exactly Im d,
+    on sparse integer rows.
 
-    A vector is reduced modulo the reduced echelon basis of Im d and
-    kept on the columns that are not Im d pivots.  Ker d reduced the
-    same way has a reduced echelon basis of b_k rows, and a reduced
-    cocycle's entries at their pivot columns are its coordinates in
-    that basis, so h_k maps the subspaces between Im d and Ker d
-    isomorphically, as a lattice, onto the subspaces of Q(i)^{b_k}.
+    A row is reduced modulo the reduced echelon basis of Im d and kept
+    on the columns that are not Im d pivots.  Ker d reduced the same way
+    has a reduced echelon basis of b_k rows, and a reduced cocycle's
+    entries at their pivot columns are its coordinates in that basis,
+    each times that row's pivot entry, so h_k maps the subspaces between
+    Im d and Ker d isomorphically, as a lattice, onto the subspaces of
+    Q(i)^{b_k}.  Each image comes out up to a nonzero factor, which no
+    span notices.
     """
-    steps = []
-    for row in tc.im_d(k).basis:
-        c = _lead(row)
-        # reduced echelon: every other entry sits in a non-pivot column
-        steps.append((c, [(j, x) for j, x in enumerate(row) if j > c and not x.is_zero()]))
-    pivots = {c for c, _ in steps}
-    free = [j for j in range(tc.dim(k)) if j not in pivots]
+    im = tc.im_d(k).rows
+    pivots = {next(iter(row)) for row in im}
+    free = {j: t for t, j in enumerate(j for j in range(tc.dim(k)) if j not in pivots)}
 
     def reduce(v):
-        v = list(v)
-        for c, entries in steps:
-            a = v[c]
-            if not a.is_zero():
-                for j, x in entries:
-                    v[j] = v[j] - a * x
-        return [v[j] for j in free]
+        # every Im d pivot column is cleared, so each column left is free
+        return {free[j]: x for j, x in _reduce(im, v).items()}
 
-    quo = Subspace(len(free), [reduce(v) for v in tc.ker_d(k).basis])
+    quo = _span(len(free), [reduce(v) for v in tc.ker_d(k).rows])
     if quo.dim != tc.betti(k):
         raise Inconsistent(
             f"H^{k} coordinates have rank {quo.dim} on Ker d, not b_{k} = {tc.betti(k)}"
         )
-    cols = [_lead(row) for row in quo.basis]
+    cols = {next(iter(row)): t for t, row in enumerate(quo.rows)}
 
     def h(v):
-        r = reduce(v)
-        return tuple(r[c] for c in cols)
+        return {cols[j]: x for j, x in reduce(v).items() if j in cols}
 
     return h
 
@@ -439,7 +427,7 @@ def _compute_filtration(tc):
         h = _h_map(tc, k)
 
         def coords(axis, level):
-            return Subspace(bk, [h(v) for v in _kerd_F(tc, k, axis, level).basis])
+            return _span(bk, [h(v) for v in _kerd_F(tc, k, axis, level).rows])
 
         V = {p: coords(0, p) for p in range(ps[0], ps[-1] + 2)}
         W = {q: coords(1, q) for q in range(qs[0], qs[-1] + 2)}

@@ -5,14 +5,26 @@ cohomology) reduces to three primitives implemented here: reduced row
 echelon form, kernels, and subspace arithmetic.  All computations are
 exact; no floating point appears anywhere in the package.
 
-Elimination strategy: rows are cleared of denominators and reduced with
-integer arithmetic only (fraction-free, with a gcd pull-out after every
-row operation to bound growth).  Matrices whose rows are all real or all
-purely imaginary travel a plain-integer fast path; genuinely mixed rows
-use interleaved (re, im) integer pairs.  Fractions reappear only when a
-canonical echelon basis is emitted, where each pivot is normalized to 1.
-Reduced row echelon form is unique per row space, so the emitted basis
-is a canonical representative of the subspace no matter which path ran.
+Elimination strategy: every matrix, subspace and elimination holds
+sparse integer rows, dicts {column: int}, or {column: (re, im)} for a
+row with an entry that is not real; a row is all one kind or the other.
+A Matrix is one positive common denominator over such rows.  A Subspace
+holds its reduced row echelon basis, each row (pivot 1) scaled by the
+lcm of its denominators: a primitive integer row, columns increasing,
+whose first entry is the pivot and equals that denominator.  Reduced
+echelon form is unique per row space, so equal subspaces hold equal
+rows however they were built.
+
+Rows are reduced fraction-free (cross-multiplication in the manner of
+Bareiss, with a gcd pull-out after every row operation to bound
+growth), inserted one at a time into a reduced echelon keyed by pivot
+column.  A purely imaginary row is multiplied by -i first (a unit, so
+row space and kernel are untouched); a batch with no genuinely complex
+row runs on plain ints, any other on Gaussian integer pairs.
+
+Scalar and Fraction objects appear only at the edges: the Matrix and
+Subspace constructors, parse_scalar, Matrix.from_json/to_json, and the
+Matrix.data and Subspace.basis views, built on demand and cached.
 
 >>> rank(Matrix([[Scalar(1), Scalar(0, 1)], [Scalar(0, 1), Scalar(-1)]]))
 1
@@ -22,9 +34,9 @@ is a canonical representative of the subspace no matter which path ran.
 
 from __future__ import annotations
 
-import math
 import re as _re
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import AmbientMismatch, InvalidInput, NotASubspace
 
@@ -51,12 +63,15 @@ __all__ = [
 class Scalar:
     """An element a + b*i of Q(i) with exact Fraction parts.
 
-    Instances are immutable and hashable.
+    Instances are immutable and hashable; a real Scalar hashes like its
+    Fraction, so it is found in sets and dicts of ints and Fractions.
 
     >>> Scalar(1, 2) * Scalar(0, 1)
     Scalar('-2+i')
     >>> str(Scalar(Fraction(1, 2), Fraction(-3, 4)))
     '1/2-3/4*i'
+    >>> 1 in {Scalar(1)}
+    True
     """
 
     __slots__ = ("re", "im")
@@ -112,13 +127,13 @@ class Scalar:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
+            return not self.im and self.re == other
         if not isinstance(other, Scalar):
             return NotImplemented
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self):
         return not self.is_zero()
@@ -138,13 +153,46 @@ def _coerce(x):
     raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
 
 
+def _entry(x):
+    """(re, im, den) integers of an int, Fraction or Scalar x, with
+    x == (re + im*i)/den and den > 0, without making a Scalar."""
+    if isinstance(x, Scalar):
+        re_, im_ = x.re, x.im
+    elif isinstance(x, (int, Fraction)):
+        re_, im_ = x, 0
+    else:
+        raise TypeError(f"cannot coerce {type(x).__name__} to Scalar")
+    den = lcm(re_.denominator, im_.denominator)
+    return re_.numerator * (den // re_.denominator), im_.numerator * (den // im_.denominator), den
+
+
 ZERO = Scalar(0)
 ONE = Scalar(1)
 I = Scalar(0, 1)
 
 
-def _fmt_frac(f):
-    return str(f)
+def _rat(n, d):
+    """Reduced text of n/d for d > 0."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _format(re_, im_, den):
+    """Canonical text of (re_ + im_*i)/den."""
+    if not im_:
+        return _rat(re_, den)
+    if im_ == den:
+        ipart = "i"
+    elif im_ == -den:
+        ipart = "-i"
+    elif im_ > 0:
+        ipart = f"{_rat(im_, den)}*i"
+    else:
+        ipart = f"-{_rat(-im_, den)}*i"
+    if not re_:
+        return ipart
+    sign = "" if ipart.startswith("-") else "+"
+    return f"{_rat(re_, den)}{sign}{ipart}"
 
 
 def format_scalar(s):
@@ -152,27 +200,44 @@ def format_scalar(s):
 
     Whitespace-free, reduced, the form used in all JSON files.
     """
-    re_, im_ = s.re, s.im
-    if not im_:
-        return _fmt_frac(re_)
-    if im_ == 1:
-        ipart = "i"
-    elif im_ == -1:
-        ipart = "-i"
-    elif im_ > 0:
-        ipart = f"{_fmt_frac(im_)}*i"
+    return _format(*_entry(s))
+
+
+_RAT = r"([+-]?\d+)(?:/(\d+))?"
+_COEFF = r"(?:(\d+)(?:/(\d+))?\*)?i"
+_RE_REAL = _re.compile(_RAT)
+_RE_IMAG = _re.compile(rf"([+-]?){_COEFF}")
+_RE_BOTH = _re.compile(rf"{_RAT}([+-]){_COEFF}")
+
+
+def _parse(text):
+    """(re, im, den) integers with text == (re + im*i)/den and den > 0."""
+    if text == "0":
+        return 0, 0, 1
+    if not isinstance(text, str):
+        raise InvalidInput(f"scalar must be a string, got {type(text).__name__}")
+    t = text.strip()
+    m = _RE_REAL.fullmatch(t)
+    if m:
+        a, b, sign, c, d = m.group(1), m.group(2), "", "0", None
     else:
-        ipart = f"-{_fmt_frac(-im_)}*i"
-    if not re_:
-        return ipart
-    sign = "" if ipart.startswith("-") else "+"
-    return f"{_fmt_frac(re_)}{sign}{ipart}"
-
-
-_RAT = r"[+-]?\d+(?:/\d+)?"
-_RE_REAL = _re.compile(rf"^({_RAT})$")
-_RE_IMAG = _re.compile(r"^([+-]?)(?:(\d+(?:/\d+)?)\*)?i$")
-_RE_BOTH = _re.compile(rf"^({_RAT})([+-])(?:(\d+(?:/\d+)?)\*)?i$")
+        m = _RE_IMAG.fullmatch(t)
+        if m:
+            a, b, sign, c, d = "0", None, m.group(1), m.group(2) or "1", m.group(3)
+        else:
+            m = _RE_BOTH.fullmatch(t)
+            if not m:
+                raise InvalidInput(f"cannot parse scalar {text!r}")
+            a, b, sign, c, d = m.group(1), m.group(2), m.group(3), m.group(4) or "1", m.group(5)
+    try:
+        a, b, c, d = int(a), int(b or 1), int(c), int(d or 1)
+    except ValueError as exc:  # past the interpreter's digit limit
+        raise InvalidInput(f"scalar of {len(t)} characters: {exc}") from exc
+    if not b or not d:
+        raise InvalidInput(f"zero denominator in scalar {text!r}")
+    den = lcm(b, d)
+    im_ = c * (den // d)
+    return a * (den // b), -im_ if sign == "-" else im_, den
 
 
 def parse_scalar(text):
@@ -185,62 +250,354 @@ def parse_scalar(text):
     >>> parse_scalar("-i") == Scalar(0, -1)
     True
     """
-    if not isinstance(text, str):
-        raise InvalidInput(f"scalar must be a string, got {type(text).__name__}")
-    t = text.strip()
-    m = _RE_REAL.match(t)
-    if m:
-        return Scalar(Fraction(m.group(1)))
-    m = _RE_IMAG.match(t)
-    if m:
-        sign = -1 if m.group(1) == "-" else 1
-        coeff = Fraction(m.group(2)) if m.group(2) else Fraction(1)
-        return Scalar(0, sign * coeff)
-    m = _RE_BOTH.match(t)
-    if m:
-        re_ = Fraction(m.group(1))
-        sign = -1 if m.group(2) == "-" else 1
-        coeff = Fraction(m.group(3)) if m.group(3) else Fraction(1)
-        return Scalar(re_, sign * coeff)
-    raise InvalidInput(f"cannot parse scalar {text!r}")
+    re_, im_, den = _parse(text)
+    return Scalar(Fraction(re_, den), Fraction(im_, den))
+
+
+# ---------------------------------------------------------------------------
+# Sparse integer rows.
+#
+# A row is a dict {column: int}, or {column: (re, im)} when some entry is
+# not real (then at least one im is nonzero).  Zero entries are absent.
+
+
+def _is_pairs(row):
+    for v in row.values():
+        return type(v) is tuple
+    return False
+
+
+def _as_pairs(row):
+    if _is_pairs(row):
+        return row
+    return {k: (v, 0) for k, v in row.items()}
+
+
+def _tidy(row):
+    """row with ints or pairs as its entries call for."""
+    if all(type(v) is int for v in row.values()):
+        return row
+    row = {k: v if type(v) is tuple else (v, 0) for k, v in row.items()}
+    if any(v[1] for v in row.values()):
+        return row
+    return {k: v[0] for k, v in row.items()}
+
+
+def _scale(row, s):
+    """row times the nonzero int s."""
+    if s == 1:
+        return row
+    if _is_pairs(row):
+        return {k: (a * s, b * s) for k, (a, b) in row.items()}
+    return {k: v * s for k, v in row.items()}
+
+
+def _times(row, a, b):
+    """row times the Gaussian integer a + b*i (not zero)."""
+    if not b:
+        return _scale(row, a)
+    return _tidy({k: (a * x - b * y, a * y + b * x) for k, (x, y) in _as_pairs(row).items()})
+
+
+def _content(rows):
+    """gcd of every integer in rows."""
+    g = 0
+    for row in rows:
+        if _is_pairs(row):
+            g = gcd(g, *(x for v in row.values() for x in v))
+        else:
+            g = gcd(g, *row.values())
+        if g == 1:
+            return 1
+    return g
+
+
+def _product(A, B):
+    """Rows of A times the matrix with rows B (denominators left out)."""
+    if any(map(_is_pairs, A)) or any(map(_is_pairs, B)):
+        return _gauss_product(A, B)
+    out = []
+    for row in A:
+        acc = {}
+        for j, x in row.items():
+            for k, y in B[j].items():
+                acc[k] = acc.get(k, 0) + x * y
+        out.append({k: v for k, v in acc.items() if v})
+    return out
+
+
+def _gauss_product(A, B):
+    B = [_as_pairs(r) for r in B]
+    out = []
+    for row in A:
+        acc = {}
+        for j, (xr, xi) in _as_pairs(row).items():
+            for k, (yr, yi) in B[j].items():
+                ar, ai = acc.get(k, (0, 0))
+                acc[k] = (ar + xr * yr - xi * yi, ai + xr * yi + xi * yr)
+        out.append(_tidy({k: v for k, v in acc.items() if v[0] or v[1]}))
+    return out
+
+
+def _transpose(rows, ncols):
+    out = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            out[j][i] = v
+    if any(map(_is_pairs, rows)):
+        out = [_tidy(r) for r in out]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Fraction-free elimination into a reduced echelon.
+
+
+def _sub(r, prow, c):
+    """r with column c cleared by the echelon row prow (real rows)."""
+    a, b = prow[c], r[c]
+    g = gcd(a, b)
+    if g != 1:
+        a //= g
+        b //= g
+    new = {k: a * v for k, v in r.items()} if a != 1 else dict(r)
+    for k, v in prow.items():
+        x = new.get(k, 0) - b * v
+        if x:
+            new[k] = x
+        else:
+            del new[k]
+    g = gcd(*new.values())
+    if g > 1:
+        return {k: v // g for k, v in new.items()}
+    return new
+
+
+def _gsub(r, prow, c):
+    """r with column c cleared by the echelon row prow (pair rows)."""
+    ar, ai = prow[c]
+    br, bi = r[c]
+    new = {k: (ar * x - ai * y, ar * y + ai * x) for k, (x, y) in r.items()}
+    for k, (x, y) in prow.items():
+        nr, ni = new.get(k, (0, 0))
+        nr -= br * x - bi * y
+        ni -= br * y + bi * x
+        if nr or ni:
+            new[k] = (nr, ni)
+        else:
+            del new[k]
+    g = gcd(*(x for v in new.values() for x in v))
+    if g > 1:
+        return {k: (x // g, y // g) for k, (x, y) in new.items()}
+    return new
+
+
+def _canon(row):
+    """The canonical form of an echelon row: columns increasing, primitive,
+    first entry positive (real rows)."""
+    keys = sorted(row)
+    g = gcd(*row.values())
+    if row[keys[0]] < 0:
+        g = -g
+    if g == 1:
+        return {k: row[k] for k in keys}
+    return {k: row[k] // g for k in keys}
+
+
+def _gcanon(row):
+    """The canonical form of an echelon row of pairs: scaled by the
+    conjugate of its pivot, so the pivot is real and positive, then made
+    primitive; real rows come back as ints."""
+    keys = sorted(row)
+    pr, pi = row[keys[0]]
+    out = {}
+    for k in keys:
+        x, y = row[k]
+        out[k] = (x * pr + y * pi, y * pr - x * pi)
+    g = gcd(*(x for v in out.values() for x in v))
+    if any(v[1] for v in out.values()):
+        return {k: (x // g, y // g) for k, (x, y) in out.items()}
+    return {k: x // g for k, (x, _) in out.items()}
+
+
+def _echelon(rows):
+    """Canonical reduced echelon rows spanning the same space, by pivot."""
+    live = []
+    pairs = False
+    for row in rows:
+        if not row:
+            continue
+        if _is_pairs(row):
+            if not any(v[0] for v in row.values()):
+                row = {k: v[1] for k, v in row.items()}  # times -i
+            else:
+                pairs = True
+        live.append(row)
+    if pairs:
+        return _insert_all([_as_pairs(r) for r in live], _gsub, _gcanon)
+    return _insert_all(live, _sub, _canon)
+
+
+def _insert_all(rows, sub, canon):
+    # Every row in piv is zero at every other pivot column, so clearing one
+    # pivot column of a row never fills another.
+    piv = {}
+    for r in rows:
+        for c in [c for c in r if c in piv]:
+            r = sub(r, piv[c], c)
+        if not r:
+            continue
+        c = min(r)
+        for c2, prow in piv.items():
+            if c in prow:
+                piv[c2] = sub(prow, r, c)
+        piv[c] = r
+    return [canon(piv[c]) for c in sorted(piv)]
+
+
+def _reduce(rows, r):
+    """r (up to a nonzero factor) minus its part along the canonical rows:
+    zero exactly when r lies in their span."""
+    for row in rows:
+        c = next(iter(row))
+        if c in r:
+            if _is_pairs(row) or _is_pairs(r):
+                r = _tidy(_gsub(_as_pairs(r), _as_pairs(row), c))
+            else:
+                r = _sub(r, row, c)
+    return r
+
+
+def _kernel_rows(rows, ncols):
+    """Canonical rows of {x : row . x = 0 for each row} in Q(i)^ncols."""
+    ech = _echelon(rows)
+    pivots = {next(iter(r)) for r in ech}
+    # free column f: x_f = 1 and x_p = -(row at f)/den for each pivot row
+    entries = {f: [] for f in range(ncols) if f not in pivots}
+    for row in ech:
+        items = iter(row.items())
+        p, den = next(items)
+        if type(den) is tuple:
+            den = den[0]
+        for f, v in items:
+            entries[f].append((p, v, den))
+    vecs = []
+    for f, ents in entries.items():
+        if not ents:
+            vecs.append({f: 1})
+            continue
+        L = lcm(*(den for _, _, den in ents))
+        vec = {f: L}
+        for p, v, den in ents:
+            s = -(L // den)
+            vec[p] = (v[0] * s, v[1] * s) if type(v) is tuple else v * s
+        vecs.append(_tidy(vec))
+    return _echelon(vecs)
+
+
+# ---------------------------------------------------------------------------
+# Matrices
+
+
+def _rows_of(data, entry=_entry):
+    """(den, rows): a table of values as sparse integer rows over their
+    least common denominator; entry(value) gives (re, im, den)."""
+    parsed = []
+    den = 1
+    for row in data:
+        ents = []
+        for j, x in enumerate(row):
+            re_, im_, d = entry(x)
+            if re_ or im_:
+                ents.append((j, re_, im_, d))
+                den = lcm(den, d)
+        parsed.append(ents)
+    rows = []
+    for ents in parsed:
+        if any(im_ for _, _, im_, _ in ents):
+            rows.append({j: (re_ * (den // d), im_ * (den // d)) for j, re_, im_, d in ents})
+        else:
+            rows.append({j: re_ * (den // d) for j, re_, _, d in ents})
+    return den, rows
+
+
+def _scalars(row, n, den):
+    """Row of n Scalars from a sparse row over den."""
+    out = [ZERO] * n
+    if _is_pairs(row):
+        for k, (a, b) in row.items():
+            out[k] = Scalar(Fraction(a, den), Fraction(b, den))
+    else:
+        for k, a in row.items():
+            out[k] = Scalar(Fraction(a, den))
+    return out
 
 
 class Matrix:
-    """Dense row-major matrix of Scalars.
+    """Row-major matrix over Q(i): sparse integer rows over one positive
+    common denominator, with gcd(den, every entry) = 1.
 
     The zero-row and zero-column cases are legal; maps in and out of
     zero-dimensional spaces occur constantly at the boundary of a
-    bounded bicomplex.
+    bounded bicomplex.  `data` is the dense Scalar view, built on demand
+    and cached; it is read-only (editing it does not change the matrix).
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "den", "sparse", "_data", "_t")
 
     def __init__(self, data, rows=None, cols=None):
         if rows is None:
             rows = len(data)
         if cols is None:
             cols = len(data[0]) if data else 0
-        self.rows = rows
-        self.cols = cols
-        self.data = [[_coerce(x) for x in row] for row in data]
-        for row in self.data:
+        for row in data:
             if len(row) != cols:
                 raise InvalidInput("ragged matrix rows")
-        if len(self.data) != rows:
+        if len(data) != rows:
             raise InvalidInput("row count mismatch")
+        self.rows = rows
+        self.cols = cols
+        self.den, self.sparse = _rows_of(data)
+        self._data = self._t = None
+
+    @staticmethod
+    def _of(rows, cols, den, sparse):
+        """A matrix from sparse rows over den, brought to lowest terms."""
+        g = gcd(den, _content(sparse))
+        if g > 1:
+            den //= g
+            sparse = [
+                {k: (a // g, b // g) for k, (a, b) in r.items()} if _is_pairs(r)
+                else {k: v // g for k, v in r.items()}
+                for r in sparse
+            ]
+        M = object.__new__(Matrix)
+        M.rows, M.cols, M.den, M.sparse = rows, cols, den, sparse
+        M._data = M._t = None
+        return M
 
     @staticmethod
     def zeros(rows, cols):
-        return Matrix([[ZERO] * cols for _ in range(rows)], rows, cols)
+        return Matrix._of(rows, cols, 1, [{} for _ in range(rows)])
 
     @staticmethod
     def identity(n):
-        return Matrix(
-            [[ONE if i == j else ZERO for j in range(n)] for i in range(n)], n, n
-        )
+        return Matrix._of(n, n, 1, [{i: 1} for i in range(n)])
+
+    @property
+    def data(self):
+        if self._data is None:
+            self._data = [_scalars(r, self.cols, self.den) for r in self.sparse]
+        return self._data
+
+    def _columns(self):
+        """The transposed sparse rows (cached)."""
+        if self._t is None:
+            self._t = _transpose(self.sparse, self.cols)
+        return self._t
 
     def is_zero(self):
-        return all(x.is_zero() for row in self.data for x in row)
+        return not any(self.sparse)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -248,11 +605,13 @@ class Matrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.den == other.den
+            and self.sparse == other.sparse
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
+        return hash((self.rows, self.cols, self.den,
+                     tuple(tuple(sorted(r.items())) for r in self.sparse)))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
@@ -264,247 +623,102 @@ class Matrix:
                     f"cannot multiply {self.rows}x{self.cols} by "
                     f"{other.rows}x{other.cols}"
                 )
-            out = []
-            ot = other.transpose().data
-            for row in self.data:
-                out.append(
-                    [
-                        sum((a * b for a, b in zip(row, col)), ZERO)
-                        for col in ot
-                    ]
-                )
-            return Matrix(out, self.rows, other.cols)
-        s = _coerce(other)
-        return Matrix(
-            [[x * s for x in row] for row in self.data], self.rows, self.cols
-        )
+            return Matrix._of(self.rows, other.cols, self.den * other.den,
+                              _product(self.sparse, other.sparse))
+        den, (row,) = _rows_of([[other]])
+        if not row:
+            return Matrix.zeros(self.rows, self.cols)
+        a, b = (row[0], 0) if type(row[0]) is int else row[0]
+        return Matrix._of(self.rows, self.cols, self.den * den,
+                          [_times(r, a, b) for r in self.sparse])
 
     __rmul__ = __mul__
 
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise InvalidInput("matrix size mismatch in addition")
-        return Matrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.data, other.data)
-            ],
-            self.rows,
-            self.cols,
-        )
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        out = []
+        for r1, r2 in zip(self.sparse, other.sparse):
+            acc = dict(_as_pairs(_scale(r1, sa)))
+            for k, (x, y) in _as_pairs(_scale(r2, sb)).items():
+                u, v = acc.get(k, (0, 0))
+                acc[k] = (u + x, v + y)
+            out.append(_tidy({k: v for k, v in acc.items() if v != (0, 0)}))
+        return Matrix._of(self.rows, self.cols, den, out)
 
     def transpose(self):
-        return Matrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.cols,
-            self.rows,
-        )
+        return Matrix._of(self.cols, self.rows, self.den, self._columns())
 
     def apply(self, vec):
         """Multiply by a column vector given as a sequence of Scalars."""
         if len(vec) != self.cols:
             raise InvalidInput("vector length mismatch")
-        vec = [_coerce(b) for b in vec]
-        live = [
-            j for j, b in enumerate(vec) if b.re or b.im
-        ]
-        out = []
-        for row in self.data:
-            acc = ZERO
-            for j in live:
-                a = row[j]
-                if a.re or a.im:
-                    acc = acc + a * vec[j]
-            out.append(acc)
-        return tuple(out)
+        den, (row,) = _rows_of([vec])
+        (out,) = _product([row], self._columns())
+        return tuple(_scalars(out, self.rows, self.den * den))
 
     def to_json(self):
-        return [[format_scalar(x) for x in row] for row in self.data]
+        out = []
+        den = self.den
+        for r in self.sparse:
+            line = ["0"] * self.cols
+            for k, v in r.items():
+                line[k] = _format(v[0], v[1], den) if type(v) is tuple else _rat(v, den)
+            out.append(line)
+        return out
 
     @staticmethod
     def from_json(obj, rows, cols):
         if not isinstance(obj, list) or len(obj) != rows:
             raise InvalidInput(f"expected {rows} matrix rows, got {obj!r}")
-        data = []
         for row in obj:
             if not isinstance(row, list) or len(row) != cols:
                 raise InvalidInput(f"expected {cols} entries per row")
-            data.append([parse_scalar(x) for x in row])
-        return Matrix(data, rows, cols)
+        return Matrix._of(rows, cols, *_rows_of(obj, _parse))
 
 
-# ---------------------------------------------------------------------------
-# Fraction-free elimination engine.
-#
-# A scalar row is converted to integers by clearing the lcm of all
-# denominators.  Rows that are purely imaginary are multiplied by -i
-# first (a unit, so row space and kernel are untouched); after that, a
-# matrix whose every row is real runs on plain int lists.  Mixed rows
-# interleave (re, im) integer pairs and row operations use Gaussian
-# integer arithmetic.
+def _block_matrix(rows, cols, blocks):
+    """The rows x cols Matrix holding each (r0, c0, M, (a, b)) of blocks
+    at row r0, column c0, times the Gaussian integer a + b*i; blocks do
+    not overlap."""
+    den = lcm(*(M.den for _, _, M, _ in blocks))
+    out = [{} for _ in range(rows)]
+    for r0, c0, M, (a, b) in blocks:
+        s = den // M.den
+        for i, row in enumerate(M.sparse):
+            target = out[r0 + i]
+            for j, v in _times(row, a * s, b * s).items():
+                target[c0 + j] = v
+    return Matrix._of(rows, cols, den, [_tidy(r) for r in out])
 
 
-def _row_gcd_reduce(row):
-    g = 0
-    for v in row:
-        if v:
-            g = math.gcd(g, v)
-            if g == 1:
-                return
-    if g > 1:
-        for t, v in enumerate(row):
-            row[t] = v // g
-
-
-def _to_int_rows(scalar_rows):
-    """Clear denominators; normalize purely imaginary rows to real.
-
-    Returns (int_rows, mixed) where int_rows are plain-int rows when
-    mixed is False and interleaved (re, im) rows when mixed is True.
-    """
-    normalized = []
-    mixed = False
-    for row in scalar_rows:
-        den = 1
-        for x in row:
-            dr = x.re.denominator
-            if dr != 1:
-                den = den * dr // math.gcd(den, dr)
-            di = x.im.denominator
-            if di != 1:
-                den = den * di // math.gcd(den, di)
-        res = [
-            x.re.numerator * (den // x.re.denominator) if x.re else 0
-            for x in row
-        ]
-        ims = [
-            x.im.numerator * (den // x.im.denominator) if x.im else 0
-            for x in row
-        ]
-        if any(ims):
-            if any(res):
-                mixed = True
-                normalized.append((res, ims))
-                continue
-            # purely imaginary row: multiply by -i
-            res, ims = ims, [0] * len(ims)
-        normalized.append((res, ims))
-    if mixed:
-        out = []
-        for res, ims in normalized:
-            row = []
-            for a, b in zip(res, ims):
-                row.append(a)
-                row.append(b)
-            _row_gcd_reduce(row)
-            out.append(row)
-        return out, True
+def _kron(A, B):
+    """The Kronecker product: entry (ia*B.rows + ib, ja*B.cols + jb) is
+    A[ia][ja] * B[ib][jb]."""
     out = []
-    for res, _ in normalized:
-        row = list(res)
-        _row_gcd_reduce(row)
-        out.append(row)
-    return out, False
-
-
-def _rref_int_real(rows, ncols):
-    rows = [r for r in rows if any(r)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for j in range(r, len(rows)):
-            if rows[j][c]:
-                piv = j
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for j in range(len(rows)):
-            if j == r:
-                continue
-            b = rows[j][c]
-            if not b:
-                continue
-            row = rows[j]
-            new = [p * row[t] - b * prow[t] for t in range(ncols)]
-            _row_gcd_reduce(new)
-            rows[j] = new
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def _rref_int_complex(rows, ncols):
-    rows = [r for r in rows if any(r)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for j in range(r, len(rows)):
-            if rows[j][2 * c] or rows[j][2 * c + 1]:
-                piv = j
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        pr, pi = prow[2 * c], prow[2 * c + 1]
-        for j in range(len(rows)):
-            if j == r:
-                continue
-            row = rows[j]
-            br, bi = row[2 * c], row[2 * c + 1]
-            if not br and not bi:
-                continue
-            new = [0] * (2 * ncols)
-            for t in range(ncols):
-                xr, xi = row[2 * t], row[2 * t + 1]
-                yr, yi = prow[2 * t], prow[2 * t + 1]
-                new[2 * t] = pr * xr - pi * xi - br * yr + bi * yi
-                new[2 * t + 1] = pr * xi + pi * xr - br * yi - bi * yr
-            _row_gcd_reduce(new)
-            rows[j] = new
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def _canonical_rows(scalar_rows, ncols):
-    """Reduced echelon Scalar rows (pivot 1) and pivot columns."""
-    int_rows, mixed = _to_int_rows(scalar_rows)
-    if mixed:
-        ech, pivots = _rref_int_complex(int_rows, ncols)
-        out = []
-        for row, c in zip(ech, pivots):
-            pr, pi = row[2 * c], row[2 * c + 1]
-            n = pr * pr + pi * pi
-            canon = []
-            for t in range(ncols):
-                xr, xi = row[2 * t], row[2 * t + 1]
-                canon.append(
-                    Scalar(Fraction(xr * pr + xi * pi, n), Fraction(xi * pr - xr * pi, n))
-                )
-            out.append(tuple(canon))
-        return out, pivots
-    ech, pivots = _rref_int_real(int_rows, ncols)
-    out = []
-    for row, c in zip(ech, pivots):
-        p = row[c]
-        out.append(tuple(Scalar(Fraction(v, p)) for v in row))
-    return out, pivots
+    for row_a in A.sparse:
+        for row_b in B.sparse:
+            row = {}
+            for ja, x in row_a.items():
+                a, b = x if type(x) is tuple else (x, 0)
+                for jb, v in _times(row_b, a, b).items():
+                    row[ja * B.cols + jb] = v
+            out.append(_tidy(row))
+    return Matrix._of(A.rows * B.rows, A.cols * B.cols, A.den * B.den, out)
 
 
 def rref(M):
     """Reduced row echelon form of a Matrix and its pivot columns."""
-    rows, pivots = _canonical_rows(M.data, M.cols)
-    return Matrix([list(r) for r in rows], len(rows), M.cols), pivots
+    ech = _echelon(M.sparse)
+    pivots = [next(iter(r)) for r in ech]
+    dens = [r[p][0] if _is_pairs(r) else r[p] for r, p in zip(ech, pivots)]
+    den = lcm(*dens) if dens else 1
+    return (
+        Matrix._of(len(ech), M.cols, den, [_scale(r, den // d) for r, d in zip(ech, dens)]),
+        pivots,
+    )
 
 
 def rank(M):
@@ -515,24 +729,26 @@ def rank(M):
     >>> rank(Matrix.zeros(3, 5))
     0
     """
-    _, pivots = _canonical_rows(M.data, M.cols)
-    return len(pivots)
+    return len(_echelon(M.sparse))
+
+
+# ---------------------------------------------------------------------------
+# Subspaces
 
 
 class Subspace:
     """A subspace of Q(i)^n held as its unique reduced echelon basis.
 
-    Equal subspaces compare equal regardless of how they were built.
+    `rows` are the canonical sparse integer rows (see the module
+    docstring); `basis` is the same basis as tuples of Scalars, built on
+    demand and cached.  Equal subspaces compare equal regardless of how
+    they were built.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "rows", "_basis")
 
-    def __init__(self, ambient_dim, basis=(), _canonical=False):
-        if not _canonical:
-            canon, _ = _canonical_rows([[_coerce(x) for x in v] for v in basis], ambient_dim)
-            basis = canon
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(tuple(v) for v in basis))
+    def __init__(self, ambient_dim, basis=()):
+        _init_subspace(self, ambient_dim, _echelon(_rows_of(basis)[1]))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -547,16 +763,23 @@ class Subspace:
         return Subspace(ambient_dim, vectors)
 
     @property
+    def basis(self):
+        if self._basis is None:
+            b = tuple(tuple(_scalars(r, self.ambient_dim, _pivot_value(r))) for r in self.rows)
+            object.__setattr__(self, "_basis", b)
+        return self._basis
+
+    @property
     def dim(self):
-        return len(self.basis)
+        return len(self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+        return self.ambient_dim == other.ambient_dim and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, tuple(tuple(sorted(r.items())) for r in self.rows)))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
@@ -567,28 +790,47 @@ class Subspace:
     def contains_subspace(self, other):
         if other.ambient_dim != self.ambient_dim:
             raise AmbientMismatch("ambient dimensions differ")
-        return all(contains(self, v) for v in other.basis)
+        return not any(_reduce(self.rows, r) for r in other.rows)
+
+
+def _pivot_value(row):
+    v = next(iter(row.values()))
+    return v[0] if type(v) is tuple else v
+
+
+def _init_subspace(S, n, rows):
+    object.__setattr__(S, "ambient_dim", n)
+    object.__setattr__(S, "rows", rows)
+    object.__setattr__(S, "_basis", None)
+
+
+def _subspace(n, rows):
+    """The Subspace whose canonical rows are rows (not checked)."""
+    S = object.__new__(Subspace)
+    _init_subspace(S, n, rows)
+    return S
+
+
+def _span(n, rows):
+    """The Subspace of Q(i)^n spanned by sparse integer rows."""
+    return _subspace(n, _echelon(rows))
 
 
 def zero_subspace(n):
-    return Subspace(n, (), _canonical=True)
+    return _subspace(n, [])
 
 
 def full_subspace(n):
-    return coordinate_subspace(n, range(n))
+    return _subspace(n, [{i: 1} for i in range(n)])
 
 
 def coordinate_subspace(ambient_dim, indices):
     """Span of the given standard basis vectors."""
     idx = sorted(set(indices))
-    basis = []
     for i in idx:
         if not 0 <= i < ambient_dim:
             raise AmbientMismatch(f"coordinate {i} outside ambient {ambient_dim}")
-        v = [ZERO] * ambient_dim
-        v[i] = ONE
-        basis.append(tuple(v))
-    return Subspace(ambient_dim, basis, _canonical=True)
+    return _subspace(ambient_dim, [{i: 1} for i in idx])
 
 
 def kernel_basis(M):
@@ -597,47 +839,36 @@ def kernel_basis(M):
     >>> kernel_basis(Matrix([[Scalar(1), Scalar(1)]])).basis
     ((Scalar('1'), Scalar('-1')),)
     """
-    rows, pivots = _canonical_rows(M.data, M.cols)
-    pivset = set(pivots)
-    free = [c for c in range(M.cols) if c not in pivset]
-    vectors = []
-    for f in free:
-        v = [ZERO] * M.cols
-        v[f] = ONE
-        for row, p in zip(rows, pivots):
-            if not row[f].is_zero():
-                v[p] = -row[f]
-        vectors.append(v)
-    return Subspace(M.cols, vectors)
+    return _subspace(M.cols, _kernel_rows(M.sparse, M.cols))
 
 
 def image_basis(M):
     """Canonical column-space subspace."""
-    return Subspace(M.rows, [tuple(col) for col in M.transpose().data])
+    return _span(M.rows, M._columns())
 
 
 def subspace_sum(U, V):
     if U.ambient_dim != V.ambient_dim:
         raise AmbientMismatch("ambient dimensions differ")
-    return Subspace(U.ambient_dim, U.basis + V.basis)
+    if not V.rows:
+        return U
+    if not U.rows:
+        return V
+    return _span(U.ambient_dim, U.rows + V.rows)
 
 
 def subspace_intersect(U, V):
-    """Intersection via the Zassenhaus double-width elimination."""
+    """Intersection via the Zassenhaus double-width elimination: the
+    echelon of the rows (u | u) and (v | 0) has the intersection as the
+    right halves of its rows that vanish on the left half."""
     if U.ambient_dim != V.ambient_dim:
         raise AmbientMismatch("ambient dimensions differ")
     n = U.ambient_dim
-    stacked = []
-    for u in U.basis:
-        stacked.append(list(u) + list(u))
-    for v in V.basis:
-        stacked.append(list(v) + [ZERO] * n)
-    rows, _ = _canonical_rows(stacked, 2 * n)
-    inter = []
-    for row in rows:
-        if all(x.is_zero() for x in row[:n]):
-            inter.append(row[n:])
-    return Subspace(n, inter)
+    if not U.rows or not V.rows:
+        return zero_subspace(n)
+    stacked = [{**u, **{k + n: x for k, x in u.items()}} for u in U.rows]
+    ech = _echelon(stacked + V.rows)
+    return _subspace(n, [{k - n: x for k, x in r.items()} for r in ech if next(iter(r)) >= n])
 
 
 def subspace_quotient_dim(sub, sup):
@@ -655,21 +886,14 @@ def contains(U, vec):
         raise AmbientMismatch(
             f"vector of length {len(vec)} in ambient dimension {U.ambient_dim}"
         )
-    v = [_coerce(x) for x in vec]
-    for row in U.basis:
-        lead = next(i for i, x in enumerate(row) if not x.is_zero())
-        if not v[lead].is_zero():
-            c = v[lead]
-            for i in range(lead, U.ambient_dim):
-                v[i] = v[i] - c * row[i]
-    return all(x.is_zero() for x in v)
+    return not _reduce(U.rows, _rows_of([vec])[1][0])
 
 
 def apply_matrix(M, U):
     """The image subspace M(U)."""
     if U.ambient_dim != M.cols:
         raise AmbientMismatch("subspace ambient does not match matrix columns")
-    return Subspace(M.rows, [M.apply(v) for v in U.basis])
+    return _span(M.rows, _product(U.rows, M._columns()))
 
 
 def preimage(M, W):
@@ -684,8 +908,5 @@ def preimage(M, W):
         raise AmbientMismatch("subspace ambient does not match matrix rows")
     if W.dim == W.ambient_dim:
         return full_subspace(M.cols)
-    ann = kernel_basis(Matrix([list(v) for v in W.basis], W.dim, W.ambient_dim))
-    if ann.dim == 0:
-        return full_subspace(M.cols)
-    C = Matrix([list(f) for f in ann.basis], ann.dim, W.ambient_dim)
-    return kernel_basis(C * M)
+    ann = _kernel_rows(W.rows, W.ambient_dim)
+    return _subspace(M.cols, _kernel_rows(_product(ann, M.sparse), M.cols))

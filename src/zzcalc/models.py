@@ -109,11 +109,11 @@ def vaisman_model(n, P):
     def put(maps, src_key, tgt_key, coeff):
         src_pq, si = index[src_key]
         tgt_pq, ti = index[tgt_key]
-        mat = maps.get(src_pq)
-        if mat is None:
-            mat = Matrix.zeros(len(basis[tgt_pq]), len(basis[src_pq]))
-            maps[src_pq] = mat
-        mat.data[ti][si] = coeff
+        rows = maps.get(src_pq)
+        if rows is None:
+            rows = [[0] * len(basis[src_pq]) for _ in basis[tgt_pq]]
+            maps[src_pq] = rows
+        rows[ti][si] = coeff
 
     for key in keys:
         p, q, i, a, b, c = key
@@ -131,6 +131,8 @@ def vaisman_model(n, P):
             tgt = (p, q, i, 0, 1, c + 1) if b else (p, q, i, 0, 0, c + 1)
             put(delbar_maps, key, tgt, _NEG_HALF_I if even else _HALF_I)
 
+    del_maps = {pq: Matrix(rows) for pq, rows in del_maps.items()}
+    delbar_maps = {pq: Matrix(rows) for pq, rows in delbar_maps.items()}
     spaces = {pq: len(lst) for pq, lst in basis.items()}
     labels = {pq: [_element_label(k) for k in lst] for pq, lst in basis.items()}
     return validate(Bicomplex(spaces, del_maps, delbar_maps, labels))

@@ -10,6 +10,10 @@ import contextlib
 import copy
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -112,6 +116,12 @@ class TestValidate:
             '{"spaces": {"0,0": 1, "1,0": 1}, "del": []}',
             '{"spaces": {"0,0": 1}, "labels": []}',
             '{"spaces": {"0,0": 1}, "labels": {"0,0": "x"}}',
+            '{"spaces": {"0,0": 1, "1,0": 1}, "del": {"0,0": [["1/0"]]}}',
+            '{"spaces": {"0,0": 1, "1,0": 1}, "del": {"0,0": [["1/0*i"]]}}',
+            '{"spaces": {"0,0": 1, "1,0": 1}, "del": {"0,0": [["0/0"]]}}',
+            pytest.param(
+                '{"spaces": {"0,0": 1, "1,0": 1}, "del": {"0,0": [["%s"]]}}' % ("1" * 5000),
+                id="5000-digit-entry"),
         ],
     )
     def test_malformed_bicomplex_exits_2(self, capsys, monkeypatch, text):
@@ -151,6 +161,20 @@ class TestCheck:
         path.write_text(dumps(A))
         code, _, _ = run_lines(capsys, ["check", "--ddc3", str(path)])
         assert code == 1
+
+    def test_module_entry_point_exits_one(self, tmp_path):
+        A = realize(MultiplicityTable(
+            {zigzag_shape((0, 1), 5, "horizontal"): 1}))
+        path = tmp_path / "l5.json"
+        path.write_text(dumps(A))
+        src = pathlib.Path(cli.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "zzcalc.cli", "check", "--ddc3", str(path)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 1, done.stderr
+        assert done.stdout.splitlines()[-1] == "ddc+3: fails"
 
     def test_star_and_j_controlled(self, capsys, hopf_path):
         assert cli.run(["check", "--star", hopf_path]) == 0
@@ -494,6 +518,9 @@ class TestCdgaVerbs:
         ('{"dim": 2, "generators": [{"name": "x", "degree": 2},'
          ' {"name": "y", "degree": 3}], "d": {"y": "x^99999999999"}}',
          "more than 4096 factors"),
+        ('{"dim": 4, "generators": [{"name": "x", "degree": 2},'
+         ' {"name": "y", "degree": 5}], "d": {"y": "1/0*x*x"}}',
+         "zero denominator"),
     ])
     def test_malformed_cdga_exits_2(self, capsys, tmp_path, text, cause):
         path = tmp_path / "bad.json"
