@@ -4,9 +4,12 @@ A presentation is a free graded-commutative algebra over Q on named
 generators, with the differential given per generator and extended as
 a degree +1 derivation.  Monomials are tuples of generator indices in
 ascending order; reordering picks up a Koszul sign, and a repeated odd
-index kills the term.  Every elimination is one _Echelon of sparse
-{column: Fraction} rows whose pivots can carry witnesses, so every
-rank, preimage and coordinate here is exact.
+index kills the term.  Polynomials, representatives, coordinates and
+primitives are exact Fractions at the API, but every elimination is one
+_Echelon of sparse {column: int} rows whose pivots can carry witnesses,
+reduced fraction-free (Bareiss's step, linalg._sub): d is scaled once
+to integers, a rational row is cleared of denominators on the way in,
+and a result is divided by its integer scale once on the way out.
 
 The obstruction pipeline is one fixed recipe.  For a presentation P of
 formal dimension 2n and a level j:
@@ -35,6 +38,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .conditions import ell
 from .errors import (
@@ -45,6 +49,7 @@ from .errors import (
     NotStabilized,
     UnknownPreset,
 )
+from .linalg import _sub
 
 __all__ = [
     "CdgaPresentation",
@@ -66,7 +71,6 @@ __all__ = [
     "r_jk",
 ]
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 # Truncation guard: a single graded piece never needs more monomials
@@ -106,7 +110,7 @@ def _mono_degree(mono, degrees):
 
 def _poly_add_into(acc, poly, coef):
     for m, c in poly.items():
-        nc = acc.get(m, _F0) + coef * c
+        nc = acc.get(m, 0) + coef * c
         if nc:
             acc[m] = nc
         else:
@@ -118,14 +122,9 @@ def _poly_mul(p1, p2, degrees):
     for m1, c1 in p1.items():
         for m2, c2 in p2.items():
             sign, m = _sort_indices(m1 + m2, degrees)
-            if not sign:
-                continue
-            nc = out.get(m, _F0) + sign * c1 * c2
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
-    return out
+            if sign:
+                out[m] = out.get(m, 0) + sign * c1 * c2
+    return {m: c for m, c in out.items() if c}
 
 
 def _d_monomial(mono, dpolys, degrees):
@@ -140,15 +139,10 @@ def _d_monomial(mono, dpolys, degrees):
             tail = mono[t + 1:]
             for m, c in dg.items():
                 sign, mm = _sort_indices(head + m + tail, degrees)
-                if not sign:
-                    continue
-                nc = out.get(mm, _F0) + lead * sign * c
-                if nc:
-                    out[mm] = nc
-                else:
-                    out.pop(mm, None)
+                if sign:
+                    out[mm] = out.get(mm, 0) + lead * sign * c
         parity += degrees[g]
-    return out
+    return {m: c for m, c in out.items() if c}
 
 
 def _d_poly(poly, dpolys, degrees):
@@ -164,48 +158,31 @@ def _d_poly(poly, dpolys, degrees):
 # are no parentheses.
 
 
+_TOKEN_RE = re.compile(
+    r"\s*(?:(\d+)(?:(/)(\d*))?|([^\W\d]\w*)|([-+*^])|(\S))")
+
+
 def _tokenize(text):
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for m in _TOKEN_RE.finditer(text):
+        num, slash, den, name, op, bad = m.groups()
+        if bad:
+            raise InvalidInput(
+                f"unexpected character {bad!r} at position {m.start(6)}")
+        if num is None:
+            tokens.append(name or op)
             continue
-        if ch in "+-*^":
-            tokens.append(ch)
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "/":
-                k = j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                if k == j + 1:
-                    raise InvalidInput(
-                        f"bad rational at position {i} in {text!r}")
-                den = int(text[j + 1:k])
-                if not den:
-                    raise InvalidInput(
-                        f"zero denominator at position {i} in {text!r}")
-                tokens.append(Fraction(int(text[i:j]), den))
-                i = k
-            else:
-                tokens.append(Fraction(int(text[i:j])))
-                i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-            continue
-        raise InvalidInput(f"unexpected character {ch!r} at position {i}")
+        pos = m.start(1)
+        if slash and not den:
+            raise InvalidInput(f"bad rational at position {pos} in {text!r}")
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError as exc:  # past the interpreter's digit limit
+            raise InvalidInput(f"coefficient at position {pos}: {exc}") from exc
+        if not den:
+            raise InvalidInput(
+                f"zero denominator at position {pos} in {text!r}")
+        tokens.append(Fraction(num, den))
     return tokens
 
 
@@ -260,13 +237,9 @@ def parse_poly(text, index, degrees):
             else:
                 expect_factor = False
         sign, mono = _sort_indices(indices, degrees)
-        if sign and coef:
-            nc = poly.get(mono, _F0) + sign * coef
-            if nc:
-                poly[mono] = nc
-            else:
-                poly.pop(mono, None)
-    return poly
+        if sign:
+            poly[mono] = poly.get(mono, 0) + sign * coef
+    return {m: c for m, c in poly.items() if c}
 
 
 def format_poly(poly, names):
@@ -414,29 +387,19 @@ def cdga_from_json(obj):
 
 
 # ---------------------------------------------------------------------------
-# Sparse elimination working on dict rows {column: Fraction}.
-
-
-def _submul(z, prow, coef, skip):
-    for cc, v in prow.items():
-        if cc == skip:
-            continue
-        nv = z.get(cc, _F0) - coef * v
-        if nv:
-            z[cc] = nv
-        else:
-            z.pop(cc, None)
+# Sparse elimination on integer dict rows {column: int}.
 
 
 class _Echelon:
-    """Row space kept in (non-reduced) echelon form, with witnesses.
+    """Row space in (non-reduced) echelon form over Z, with witnesses.
 
-    pivots maps each lead column to its row, scaled to lead 1.  A pivot
-    may carry a witness in wits under the same column: reduce(row, wit)
-    applies every row operation it makes to wit as well, so wit loses
-    coef * wits[c] whenever the row loses coef * pivots[c].  A pivot
-    without a witness has witness zero.  The pivot rows given to the
-    constructor are shared, not copied.
+    pivots maps each lead column c to an int row with a positive lead;
+    wits may hold its witness, an int row at the same scale, the pair
+    primitive together.  Both divided by pivots[c][c] give the rational
+    lead-1 pivot and witness.  reduce(row, wit) clears pivot columns,
+    lowest first, by linalg's fraction-free step and applies each step
+    to wit too (a pivot without a witness has witness zero).  The pivot
+    rows given to the constructor are shared, not copied.
     """
 
     __slots__ = ("pivots", "wits")
@@ -446,16 +409,20 @@ class _Echelon:
         self.wits = {}
 
     def reduce(self, row, wit=None):
-        z = dict(row)
+        """The remainder of row; wit is updated in place."""
+        z, w = row, wit
         while z:
             c = min(z)
             p = self.pivots.get(c)
             if p is None:
-                return z
-            coef = z.pop(c)
-            _submul(z, p, coef, c)
-            if wit is not None and c in self.wits:
-                _submul(wit, self.wits[c], coef, None)
+                break
+            if w is None:
+                z = _sub(z, p, c)
+            else:
+                z, w = _sub(z, p, c, w, self.wits.get(c))
+        if w is not wit:
+            wit.clear()
+            wit.update(w)
         return z
 
     def insert(self, row, wit=None):
@@ -464,10 +431,15 @@ class _Echelon:
         if not z:
             return None
         lead = min(z)
-        inv = _F1 / z[lead]
-        self.pivots[lead] = {c: v * inv for c, v in z.items()}
+        g = gcd(*z.values(), *(wit or {}).values())
+        if z[lead] < 0:
+            g = -g
+        if g != 1:
+            z = {c: v // g for c, v in z.items()}
+            wit = wit and {c: v // g for c, v in wit.items()}
+        self.pivots[lead] = z
         if wit is not None:
-            self.wits[lead] = {c: v * inv for c, v in wit.items()}
+            self.wits[lead] = wit
         return lead
 
     @property
@@ -476,29 +448,43 @@ class _Echelon:
 
 
 def _kernel(rows, ech=None):
-    """Witnesses {i: coef} of the rows that reduce to zero, in order.
-
-    Each witness w is a relation: sum of w[i] * rows[i] is zero.  The
-    other rows become pivots of ech, the i-th witnessed by {i: 1} as
-    reduced along the way.
-    """
+    """Int relations w, sum of w[i] * rows[i] zero, one per row that
+    reduces to zero; the largest index is the row's own, and w divided
+    by its coefficient is the rational relation.  The other rows become
+    pivots of ech, the i-th witnessed by {i: 1} as reduced."""
     if ech is None:
         ech = _Echelon()
     out = []
     for i, row in enumerate(rows):
-        wit = {i: _F1}
+        wit = {i: 1}
         if ech.insert(row, wit) is None:
             out.append(wit)
     return out
 
 
-class _CohData:
-    """H^k of a presentation as two echelons over the degree-k basis.
+def _ints(row):
+    """(den * row on ints, den), den the lcm of the row's denominators."""
+    den = lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (den // v.denominator) for c, v in row.items()}, den
 
-    im holds Im d, each pivot witnessed by a preimage over basis(k-1).
-    quo shares im's rows and adds the representative rows h_rows, the
-    i-th witnessed by {i: 1}, so reducing a cocycle through quo leaves
-    minus its H^k coordinates in the witness.
+
+def _solve(ech, row, what):
+    """(w, s): ints, w / s the combination of ech's witnesses whose
+    pivots sum to the rational row; else raise Inconsistent(what)."""
+    z, den = _ints(row)
+    wit = {-1: 1}
+    if ech.reduce(z, wit):
+        raise Inconsistent(what)
+    return wit, -den * wit.pop(-1)
+
+
+class _CohData:
+    """H^k of a presentation as two int echelons over the degree-k basis.
+
+    im holds Im(L d) (see _Engine), each pivot witnessed by a preimage
+    over basis(k-1).  quo shares im's rows and adds the representative
+    rows h_rows, the i-th witnessed by {i: its lead}, so reducing a
+    cocycle through quo leaves its H^k coordinates in the witness.
     """
 
     __slots__ = ("im", "quo", "h_rows")
@@ -510,11 +496,15 @@ class _CohData:
 
 
 class _Engine:
-    """Per-presentation caches: bases, differentials, cohomology."""
+    """Per-presentation caches: bases, differentials (int rows of L d, L
+    the lcm of d's denominators), cohomology."""
 
     def __init__(self, P):
         self.degrees = P.degrees
         self.dpolys = [P.differential.get(n) for n in P.names]
+        self.L = lcm(*(c.denominator for p in P.differential.values() for c in p.values()))
+        self._dints = [p and {m: c.numerator * (self.L // c.denominator)
+                              for m, c in p.items()} for p in self.dpolys]
         self._basis = {}
         self._bindex = {}
         self._drow = {}
@@ -574,7 +564,7 @@ class _Engine:
         """Image of a degree-k basis monomial as a row over basis(k+1)."""
         got = self._drow.get(mono)
         if got is None:
-            poly = _d_monomial(mono, self.dpolys, self.degrees)
+            poly = _d_monomial(mono, self._dints, self.degrees)
             idx = self.bindex(k + 1)
             got = {idx[m]: c for m, c in poly.items()}
             self._drow[mono] = got
@@ -605,7 +595,7 @@ class _Engine:
         for wit in self._ker_wits.pop(k):
             lead = quo.insert(wit)
             if lead is not None:
-                quo.wits[lead] = {len(h_rows): _F1}
+                quo.wits[lead] = {len(h_rows): quo.pivots[lead][lead]}
                 h_rows.append(quo.pivots[lead])
         got = _CohData(im, quo, h_rows)
         self._coh[k] = got
@@ -616,33 +606,30 @@ class _Engine:
 
     def h_rep_poly(self, k, i):
         basis = self.basis(k)
-        return {basis[c]: v for c, v in self.coh(k).h_rows[i].items()}
+        row = self.coh(k).h_rows[i]
+        lead = row[min(row)]
+        return {basis[c]: Fraction(v, lead) for c, v in row.items()}
 
-    def project(self, row, k):
-        """Coordinates of a cocycle row in the H^k representative basis."""
-        wit = {}
-        if self.coh(k).quo.reduce(row, wit):
-            raise Inconsistent(
-                f"degree-{k} class escaped the computed decomposition")
-        return {i: -v for i, v in wit.items()}
-
-    def project_poly(self, poly, k):
+    def coords(self, poly, k):
+        """(w, s): ints with w / s the coordinates of a degree-k cocycle
+        polynomial in the H^k representative basis."""
         idx = self.bindex(k)
-        return self.project({idx[m]: c for m, c in poly.items()}, k)
+        return _solve(self.coh(k).quo, {idx[m]: c for m, c in poly.items()},
+                      f"degree-{k} class escaped the computed decomposition")
 
     def solve_d(self, poly, k):
         """A primitive w with d(w) = poly, as a degree k-1 polynomial."""
         idx = self.bindex(k)
-        wit = {}
-        if self.coh(k).im.reduce({idx[m]: c for m, c in poly.items()}, wit):
-            raise Inconsistent(f"degree-{k} cochain is not exact")
+        w, s = _solve(self.coh(k).im, {idx[m]: c for m, c in poly.items()},
+                      f"degree-{k} cochain is not exact")
         basis = self.basis(k - 1)
-        return {basis[c]: -v for c, v in wit.items()}
+        return {basis[c]: Fraction(v * self.L, s) for c, v in w.items()}
 
     def cup_coords(self, k1, i1, k2, i2):
         prod = _poly_mul(
             self.h_rep_poly(k1, i1), self.h_rep_poly(k2, i2), self.degrees)
-        return self.project_poly(prod, k1 + k2)
+        w, s = self.coords(prod, k1 + k2)
+        return {i: Fraction(v, s) for i, v in w.items()}
 
     def subalgebra_span(self, j, up_to):
         """Echelon spans of <H^{<=j}> per degree, in H coordinates."""
@@ -653,7 +640,7 @@ class _Engine:
             ech = _Echelon()
             if m <= j:
                 for i in range(self.betti(m)):
-                    ech.insert({i: _F1})
+                    ech.insert({i: 1})
             else:
                 lifted = {}
 
@@ -675,7 +662,7 @@ class _Engine:
                         for pb in vecs:
                             prod = _poly_mul(pa, pb, self.degrees)
                             if prod:
-                                ech.insert(self.project_poly(prod, m))
+                                ech.insert(self.coords(prod, m)[0])
             spans[m] = ech
         return spans
 
@@ -790,25 +777,28 @@ def _tower_stage(P, model, psi, j):
 
     def image_coords(deg, i):
         rep = M.h_rep_poly(deg, i)
-        return A.project_poly(
-            _psi_poly(rep, model, psi_polys, P.degrees), deg)
+        return A.coords(_psi_poly(rep, model, psi_polys, P.degrees), deg)
 
     for deg in range(1, j + 1):
         span = _Echelon()
         for i in range(M.betti(deg)):
-            span.insert(image_coords(deg, i))
+            span.insert(image_coords(deg, i)[0])
         for i in range(A.betti(deg)):
-            if span.insert({i: _F1}) is not None:
+            if span.insert({i: 1}) is not None:
                 adds.append((
                     f"v{next(fresh)}", deg, {}, A.h_rep_poly(deg, i),
                 ))
 
     for deg in range(2, j + 2):
-        rows = (image_coords(deg, i) for i in range(M.betti(deg)))
-        for combo in _kernel(rows):
+        images = [image_coords(deg, i) for i in range(M.betti(deg))]
+        for combo in _kernel([w for w, _ in images]):
+            # image i is w_i / s_i; scale to own-row coefficient 1
+            last = max(combo)
+            own = combo[last] * images[last][1]
             z_poly = {}
             for i, c in combo.items():
-                _poly_add_into(z_poly, M.h_rep_poly(deg, i), c)
+                _poly_add_into(z_poly, M.h_rep_poly(deg, i),
+                               Fraction(c * images[i][1], own))
             image = _psi_poly(z_poly, model, psi_polys, P.degrees)
             w = A.solve_d(image, deg) if image else {}
             adds.append((f"v{next(fresh)}", deg - 1, z_poly, w))
@@ -856,11 +846,8 @@ def _check_chain_map(P, model, psi):
     A = _engine(P)
     for g, name in enumerate(model.names):
         dg = model.differential.get(name, {})
-        lhs = _psi_poly(dg, model, psi_polys, P.degrees)
-        rhs = _d_poly(psi_polys[g], A.dpolys, P.degrees)
-        diff = dict(lhs)
-        _poly_add_into(diff, rhs, -_F1)
-        if diff:
+        if _psi_poly(dg, model, psi_polys, P.degrees) != _d_poly(
+                psi_polys[g], A.dpolys, P.degrees):
             raise Inconsistent(f"tower map fails to commute with d on {name}")
 
 
@@ -905,9 +892,8 @@ def r_jk(P, j, k):
     psi_polys = [psi[n] for n in model.names]
     span = _Echelon()
     for i in range(M.betti(k)):
-        rep = M.h_rep_poly(k, i)
-        span.insert(A.project_poly(
-            _psi_poly(rep, model, psi_polys, P.degrees), k))
+        rep = _psi_poly(M.h_rep_poly(k, i), model, psi_polys, P.degrees)
+        span.insert(A.coords(rep, k)[0])
     return span.rank
 
 
@@ -944,12 +930,12 @@ def _top_functional(eng, n2):
     vals = {}
     for c in sorted(quo.pivots, reverse=True):
         row = quo.pivots[c]
-        v = quo.wits[c][0] if c in quo.wits else _F0
+        v = quo.wits[c][0] if c in quo.wits else 0
         for cc, x in row.items():
             if cc != c and cc in vals:
                 v -= x * vals[cc]
         if v:
-            vals[c] = v
+            vals[c] = Fraction(v) / row[c]
     basis = eng.basis(n2)
     return {basis[c]: v for c, v in vals.items()}
 
@@ -986,11 +972,11 @@ def _pairing_rows(eng, phi, k, n2, contractions):
             if terms is None:
                 terms = contractions[m1] = _contract(m1, phi, eng.degrees)
             for m2, v in terms:
-                dual[m2] = dual.get(m2, _F0) + c1 * v
+                dual[m2] = dual.get(m2, 0) + c1 * v
         row = {}
         for l, rep in enumerate(others):
             val = sum(
-                (c2 * dual[m2] for m2, c2 in rep.items() if m2 in dual), _F0)
+                (c2 * dual[m2] for m2, c2 in rep.items() if m2 in dual), 0)
             if val:
                 row[l] = val
         rows.append(row)
@@ -1014,7 +1000,7 @@ def _check_poincare_duality(P):
         ech = _Echelon()
         for row in _pairing_rows(eng, phi, k, n2, contractions):
             if row:
-                ech.insert(row)
+                ech.insert(_ints(row)[0])
         if ech.rank != bk:
             raise NoPoincareDuality(
                 f"cup pairing degenerate in degrees ({k}, {n2 - k})")
@@ -1093,6 +1079,16 @@ def compatibility(P, j, A):
 # Presets.
 
 _FILIFORM_RE = re.compile(r"filiform\((\d+)\)\Z")
+# The six-dimensional presets on generators e1..e6 of degree 1.
+_SIX = {
+    "iwasawa": {"e5": "e1*e3-e2*e4", "e6": "e2*e3+e1*e4"},
+    "nil_m1": {"e3": "e1*e2", "e4": "e1*e3", "e5": "e2*e3",
+               "e6": "e1*e4+e2*e5"},
+    "ex_k2_M": {"e3": "e1*e2", "e4": "e2*e3", "e5": "e2*e4",
+                "e6": "e1*e5+e3*e4"},
+    "ex_k2_M_variant": {"e3": "e1*e2", "e4": "e2*e3", "e5": "e2*e4-e1*e3",
+                        "e6": "e1*e5+e3*e4"},
+}
 
 
 def preset(name):
@@ -1106,28 +1102,9 @@ def preset(name):
         gens = [(f"e{i}", 1) for i in range(1, n2 + 1)]
         d = {f"e{k}": f"e1*e{k - 1}" for k in range(3, n2 + 1)}
         return CdgaPresentation(gens, d, n2)
-    six = [(f"e{i}", 1) for i in range(1, 7)]
-    if name == "iwasawa":
+    if name in _SIX:
         return CdgaPresentation(
-            six, {"e5": "e1*e3-e2*e4", "e6": "e2*e3+e1*e4"}, 6)
-    if name == "nil_m1":
-        return CdgaPresentation(
-            six,
-            {"e3": "e1*e2", "e4": "e1*e3", "e5": "e2*e3",
-             "e6": "e1*e4+e2*e5"},
-            6)
-    if name == "ex_k2_M":
-        return CdgaPresentation(
-            six,
-            {"e3": "e1*e2", "e4": "e2*e3", "e5": "e2*e4",
-             "e6": "e1*e5+e3*e4"},
-            6)
-    if name == "ex_k2_M_variant":
-        return CdgaPresentation(
-            six,
-            {"e3": "e1*e2", "e4": "e2*e3", "e5": "e2*e4-e1*e3",
-             "e6": "e1*e5+e3*e4"},
-            6)
+            [(f"e{i}", 1) for i in range(1, 7)], _SIX[name], 6)
     raise UnknownPreset(
-        f"unknown preset {name!r}; available: filiform(2n), iwasawa, "
-        "nil_m1, ex_k2_M, ex_k2_M_variant")
+        f"unknown preset {name!r}; available: filiform(2n), "
+        + ", ".join(_SIX))

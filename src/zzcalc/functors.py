@@ -504,9 +504,13 @@ def _Z(tc, axis, r, a, b):
     """Z_r at filtration position (a, b): the elements of degree a+b and
     level >= a whose d has level >= a+r."""
     k = a + b
-    high = set(tc.filtration_index(k + 1, axis, a + r))
-    low = [i for i in range(tc.dim(k + 1)) if i not in high]
-    return tc.d_kernel(k, tc.filtration_index(k, axis, a), low)
+
+    def build():
+        high = set(tc.filtration_index(k + 1, axis, a + r))
+        low = [i for i in range(tc.dim(k + 1)) if i not in high]
+        return tc.d_kernel(k, tc.filtration_index(k, axis, a), low)
+
+    return tc._get(("Z", axis, r, a, b), build)
 
 
 def _B(tc, axis, r, a, b):

@@ -87,6 +87,9 @@ class Scalar:
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    def __reduce__(self):
+        return Scalar, (self.re, self.im)
+
     def is_zero(self):
         return not self.re and not self.im
 
@@ -353,24 +356,38 @@ def _transpose(rows, ncols):
 # Fraction-free elimination into a reduced echelon.
 
 
-def _sub(r, prow, c):
-    """r with column c cleared by the echelon row prow (real rows)."""
-    a, b = prow[c], r[c]
-    g = gcd(a, b)
-    if g != 1:
-        a //= g
-        b //= g
+def _combine(a, r, b, s):
+    """a*r - b*s for real rows."""
     new = {k: a * v for k, v in r.items()} if a != 1 else dict(r)
-    for k, v in prow.items():
+    for k, v in s.items():
         x = new.get(k, 0) - b * v
         if x:
             new[k] = x
         else:
             del new[k]
-    g = gcd(*new.values())
-    if g > 1:
-        return {k: v // g for k, v in new.items()}
     return new
+
+
+def _sub(r, prow, c, w=None, pw=None):
+    """r with column c cleared by the echelon row prow (real rows): the
+    fraction-free step a*r - b*prow, a/b = prow[c]/r[c] in lowest terms,
+    with the gcd of the result pulled out.  Given a witness w, the step
+    also takes w to a*w - b*pw (pw is prow's witness, None for zero),
+    the pull-out covers row and witness together, and both are returned."""
+    a, b = prow[c], r[c]
+    g = gcd(a, b)
+    if g != 1:
+        a //= g
+        b //= g
+    new = _combine(a, r, b, prow)
+    if w is None:
+        g = gcd(*new.values())
+        return {k: v // g for k, v in new.items()} if g > 1 else new
+    w = _combine(a, w, b, pw or {})
+    g = gcd(*new.values(), *w.values())
+    if g > 1:
+        return {k: v // g for k, v in new.items()}, {k: v // g for k, v in w.items()}
+    return new, w
 
 
 def _gsub(r, prow, c):
@@ -752,6 +769,9 @@ class Subspace:
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
+
+    def __reduce__(self):
+        return _subspace, (self.ambient_dim, self.rows)
 
     @staticmethod
     def from_vectors(ambient_dim, vectors):

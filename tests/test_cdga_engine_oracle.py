@@ -1,30 +1,213 @@
-"""The cdga eliminations against the hand-written loops they replaced.
+"""The cdga eliminations against the two routes they replaced.
 
-Every elimination in `cdga` is a call on `_Echelon`: Im d with preimage
-witnesses, Ker d with unit witnesses (`_kernel`), H^k as kernel vectors
-reduced through Im d, `project`, `solve_d` and the kernel of a tower
-stage.  Before that, each was its own pivot walk; those walks are kept
-here, unchanged, as the oracle.  Both make the same row operations in
-the same order, so pivots, witnesses, representatives, coordinates,
-primitives and tower adds must agree exactly.  (The old coh also
-eliminates d out of degree k twice, where the engine shares one pass
-between coh(k) and coh(k+1).)
+Every elimination in `cdga` is a call on `_Echelon`, on integer rows:
+Im d with preimage witnesses, Ker d with unit witnesses (`_kernel`), H^k
+as kernel vectors reduced through Im d, `project`, `solve_d` and the
+kernel of a tower stage.  Two earlier routes are kept here, unchanged,
+as oracles: the same `_Echelon` on sparse `Fraction` rows with lead-1
+pivots (`FracEngine`), and before it one hand-written pivot walk per
+elimination (`OldEngine`).  All three make the same row operations in
+the same order, so the integer engine's values, divided as the Fraction
+route would hold them, must agree exactly: a pivot divided by its lead,
+its witness divided by the same lead, a kernel relation divided by its
+own-row coefficient; representatives, coordinates, primitives and tower
+adds.  (The old coh also eliminates d out of degree k twice, where the
+engine shares one pass between coh(k) and coh(k+1).)
 """
 
 import itertools
 from fractions import Fraction
+from functools import partial
+from math import gcd
 
 import pytest
 
 from zzcalc import cdga
-from zzcalc.cdga import CdgaPresentation, preset
+from zzcalc.cdga import CdgaPresentation, obstruction, preset
 from zzcalc.errors import Inconsistent
 
 from test_duality_oracle import s2xs2, sheared_s2xs2
 
-_F0 = cdga._F0
-_F1 = cdga._F1
-_submul = cdga._submul
+_F0 = Fraction(0)
+_F1 = Fraction(1)
+
+
+def _submul(z, prow, coef, skip):
+    for cc, v in prow.items():
+        if cc == skip:
+            continue
+        nv = z.get(cc, _F0) - coef * v
+        if nv:
+            z[cc] = nv
+        else:
+            z.pop(cc, None)
+
+
+class FracEchelon:
+    """Row space kept in (non-reduced) echelon form, with witnesses.
+
+    pivots maps each lead column to its row, scaled to lead 1.  A pivot
+    may carry a witness in wits under the same column: reduce(row, wit)
+    applies every row operation it makes to wit as well, so wit loses
+    coef * wits[c] whenever the row loses coef * pivots[c].  A pivot
+    without a witness has witness zero.  The pivot rows given to the
+    constructor are shared, not copied.
+    """
+
+    __slots__ = ("pivots", "wits")
+
+    def __init__(self, pivots=()):
+        self.pivots = dict(pivots)
+        self.wits = {}
+
+    def reduce(self, row, wit=None):
+        z = dict(row)
+        while z:
+            c = min(z)
+            p = self.pivots.get(c)
+            if p is None:
+                return z
+            coef = z.pop(c)
+            _submul(z, p, coef, c)
+            if wit is not None and c in self.wits:
+                _submul(wit, self.wits[c], coef, None)
+        return z
+
+    def insert(self, row, wit=None):
+        """Lead column of the new pivot, or None when row reduces to 0."""
+        z = self.reduce(row, wit)
+        if not z:
+            return None
+        lead = min(z)
+        inv = _F1 / z[lead]
+        self.pivots[lead] = {c: v * inv for c, v in z.items()}
+        if wit is not None:
+            self.wits[lead] = {c: v * inv for c, v in wit.items()}
+        return lead
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+
+def frac_kernel(rows, ech=None):
+    """Witnesses {i: coef} of the rows that reduce to zero, in order.
+
+    Each witness w is a relation: sum of w[i] * rows[i] is zero.  The
+    other rows become pivots of ech, the i-th witnessed by {i: 1} as
+    reduced along the way.
+    """
+    if ech is None:
+        ech = FracEchelon()
+    out = []
+    for i, row in enumerate(rows):
+        wit = {i: _F1}
+        if ech.insert(row, wit) is None:
+            out.append(wit)
+    return out
+
+
+class FracEngine(cdga._Engine):
+    """The engine with the replaced Fraction elimination: d rows, coh,
+    representatives, project and solve_d on sparse Fraction rows."""
+
+    def d_row(self, mono, k):
+        got = self._drow.get(mono)
+        if got is None:
+            poly = cdga._d_monomial(mono, self.dpolys, self.degrees)
+            idx = self.bindex(k + 1)
+            got = {idx[m]: c for m, c in poly.items()}
+            self._drow[mono] = got
+        return got
+
+    def _eliminate(self, k):
+        ech = FracEchelon()
+        self._ker_wits[k] = frac_kernel(
+            (self.d_row(m, k) for m in self.basis(k)), ech)
+        self._d_echs[k] = ech
+
+    def coh(self, k):
+        got = self._coh.get(k)
+        if got is not None:
+            return got
+        im = FracEchelon()
+        if k > 0:
+            if k - 1 not in self._d_echs:
+                self._eliminate(k - 1)
+            im = self._d_echs.pop(k - 1)
+        if k not in self._ker_wits:
+            self._eliminate(k)
+        quo = FracEchelon(im.pivots)
+        h_rows = []
+        for wit in self._ker_wits.pop(k):
+            lead = quo.insert(wit)
+            if lead is not None:
+                quo.wits[lead] = {len(h_rows): _F1}
+                h_rows.append(quo.pivots[lead])
+        got = cdga._CohData(im, quo, h_rows)
+        self._coh[k] = got
+        return got
+
+    def h_rep_poly(self, k, i):
+        basis = self.basis(k)
+        return {basis[c]: v for c, v in self.coh(k).h_rows[i].items()}
+
+    def project(self, row, k):
+        """Coordinates of a cocycle row in the H^k representative basis."""
+        wit = {}
+        if self.coh(k).quo.reduce(row, wit):
+            raise Inconsistent(
+                f"degree-{k} class escaped the computed decomposition")
+        return {i: -v for i, v in wit.items()}
+
+    def project_poly(self, poly, k):
+        idx = self.bindex(k)
+        return self.project({idx[m]: c for m, c in poly.items()}, k)
+
+    def solve_d(self, poly, k):
+        """A primitive w with d(w) = poly, as a degree k-1 polynomial."""
+        idx = self.bindex(k)
+        wit = {}
+        if self.coh(k).im.reduce({idx[m]: c for m, c in poly.items()}, wit):
+            raise Inconsistent(f"degree-{k} cochain is not exact")
+        basis = self.basis(k - 1)
+        return {basis[c]: -v for c, v in wit.items()}
+
+
+def frac_tower_stage(P, model, psi, j):
+    """The replaced _tower_stage, on the Fraction engine."""
+    A = FracEngine(P)
+    M = FracEngine(model)
+    psi_polys = [psi[n] for n in model.names]
+    adds = []
+    fresh = itertools.count(len(model.names) + 1)
+
+    def image_coords(deg, i):
+        rep = M.h_rep_poly(deg, i)
+        return A.project_poly(
+            cdga._psi_poly(rep, model, psi_polys, P.degrees), deg)
+
+    for deg in range(1, j + 1):
+        span = FracEchelon()
+        for i in range(M.betti(deg)):
+            span.insert(image_coords(deg, i))
+        for i in range(A.betti(deg)):
+            if span.insert({i: _F1}) is not None:
+                adds.append((
+                    f"v{next(fresh)}", deg, {}, A.h_rep_poly(deg, i),
+                ))
+
+    for deg in range(2, j + 2):
+        rows = (image_coords(deg, i) for i in range(M.betti(deg)))
+        for combo in frac_kernel(rows):
+            z_poly = {}
+            for i, c in combo.items():
+                cdga._poly_add_into(z_poly, M.h_rep_poly(deg, i), c)
+            image = cdga._psi_poly(z_poly, model, psi_polys, P.degrees)
+            w = A.solve_d(image, deg) if image else {}
+            adds.append((f"v{next(fresh)}", deg - 1, z_poly, w))
+
+    return adds
 
 
 class OldCohData:
@@ -36,8 +219,8 @@ class OldCohData:
         self.h_pivots = h_pivots
 
 
-class OldEngine(cdga._Engine):
-    """The engine with the replaced coh, project and solve_d.
+class OldEngine(FracEngine):
+    """The engine with the hand-written coh, project and solve_d.
 
     coh also keeps each degree's kernel witnesses in self.kernels.
     """
@@ -166,7 +349,7 @@ def old_tower_stage(P, model, psi, j):
             cdga._psi_poly(rep, model, psi_polys, P.degrees), deg)
 
     for deg in range(1, j + 1):
-        span = cdga._Echelon()
+        span = FracEchelon()
         for i in range(M.betti(deg)):
             span.insert(image_coords(deg, i))
         for i in range(A.betti(deg)):
@@ -207,10 +390,18 @@ def old_tower_stage(P, model, psi, j):
     return adds
 
 
+def iwasawa_fractional():
+    """iwasawa with coefficients 1/2 and -3/4: the engine scales d by 4."""
+    return CdgaPresentation(
+        [(f"e{i}", 1) for i in range(1, 7)],
+        {"e5": "1/2*e1*e3-e2*e4", "e6": "e2*e3-3/4*e1*e4"}, 6)
+
+
 CASES = {
     **{name: (lambda name=name: preset(name)) for name in (
         "filiform(4)", "filiform(6)", "filiform(8)", "filiform(10)",
         "iwasawa", "nil_m1", "ex_k2_M", "ex_k2_M_variant")},
+    "iwasawa 1/2 -3/4": iwasawa_fractional,
     "CP2": lambda: CdgaPresentation(
         [("y", 2), ("z", 5)], {"z": "y^3"}, 4),
     "S2xS2": s2xs2,
@@ -223,8 +414,45 @@ def engines(name):
     return P, cdga._Engine(P), OldEngine(P)
 
 
-def new_h_pivots(data):
-    return {c: i for c, wit in data.quo.wits.items() for i in wit}
+def rational(row, lead):
+    """An integer row divided by lead, as the Fraction route holds it."""
+    return {c: Fraction(v, lead) for c, v in row.items()}
+
+
+def lead_one(eng, k):
+    """The integer engine's H^k data in the Fraction route's form: Im d
+    pivots with their witnesses, representatives and H^k pivot witnesses,
+    each divided by its pivot's lead.  The engine eliminates L d, so an
+    Im d witness is also multiplied by L (1 for every preset)."""
+    data = eng.coh(k)
+    im = {c: (rational(row, row[c]),
+              rational({i: v * eng.L for i, v in data.im.wits[c].items()}, row[c]))
+          for c, row in data.im.pivots.items()}
+    h_rows = [rational(row, row[min(row)]) for row in data.h_rows]
+    h_wits = {c: rational(wit, data.quo.pivots[c][c])
+              for c, wit in data.quo.wits.items()}
+    return im, h_rows, h_wits
+
+
+def fraction_form(data):
+    """The same triple read off either replaced route."""
+    if isinstance(data, OldCohData):
+        return (data.im_pivots, data.h_rows,
+                {c: {i: _F1} for c, i in data.h_pivots.items()})
+    return ({c: (row, data.im.wits[c]) for c, row in data.im.pivots.items()},
+            data.h_rows, data.quo.wits)
+
+
+def project(eng, row, k):
+    """The integer engine's H^k coordinates of a cocycle row, over Q."""
+    basis = eng.basis(k)
+    w, s = eng.coords({basis[c]: v for c, v in row.items()}, k)
+    return {i: Fraction(v, s) for i, v in w.items()}
+
+
+def own_one(kernel):
+    """Kernel relations divided by their own-row coefficients."""
+    return [rational(w, w[max(w)]) for w in kernel]
 
 
 def exact_cochains(eng, k):
@@ -252,13 +480,22 @@ def cochains(eng, k):
 def test_coh_matches_old_loops(name):
     P, new, old = engines(name)
     for k in range(P.formal_dimension + 2):
-        got, want = new.coh(k), old.coh(k)
-        assert {c: (row, got.im.wits[c])
-                for c, row in got.im.pivots.items()} == want.im_pivots
-        assert got.h_rows == want.h_rows
-        assert new_h_pivots(got) == want.h_pivots
+        assert lead_one(new, k) == fraction_form(old.coh(k))
         rows = [new.d_row(m, k) for m in new.basis(k)]
-        assert cdga._kernel(rows) == old.kernels[k]
+        assert own_one(cdga._kernel(rows)) == old.kernels[k]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_coh_matches_fraction_echelon(name):
+    P = CASES[name]()
+    new, frac = cdga._Engine(P), FracEngine(P)
+    for k in range(P.formal_dimension + 2):
+        assert lead_one(new, k) == fraction_form(frac.coh(k))
+        rows = [new.d_row(m, k) for m in new.basis(k)]
+        frows = [frac.d_row(m, k) for m in frac.basis(k)]
+        assert own_one(cdga._kernel(rows)) == frac_kernel(frows)
+        for i in range(new.betti(k)):
+            assert new.h_rep_poly(k, i) == frac.h_rep_poly(k, i)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -295,29 +532,31 @@ def test_each_degree_eliminated_once(monkeypatch):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_project_and_solve_d_match_old_loops(name):
     P, new, old = engines(name)
-    for k in range(P.formal_dimension + 1):
-        for z in cochains(new, k):
-            assert new.project(z, k) == old.project(z, k)
-        for x in exact_cochains(new, k):
-            assert new.solve_d(x, k) == old.solve_d(x, k)
+    for oracle in (old, FracEngine(P)):
+        for k in range(P.formal_dimension + 1):
+            for z in cochains(new, k):
+                assert project(new, z, k) == oracle.project(z, k)
+            for x in exact_cochains(new, k):
+                assert new.solve_d(x, k) == oracle.solve_d(x, k)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_same_failures(name):
     P, new, old = engines(name)
+    frac = FracEngine(P)
     for k in range(1, P.formal_dimension + 1):
         basis = new.basis(k)
         for i in range(new.betti(k)):
             poly = new.h_rep_poly(k, i)
-            for eng in (new, old):
+            for eng in (new, old, frac):
                 with pytest.raises(Inconsistent, match="not exact"):
                     eng.solve_d(poly, k)
         bad = {c: _F1 for c in range(len(basis))
                if c not in new.coh(k).quo.pivots}
         if bad:
-            for eng in (new, old):
+            for call in (partial(project, new), old.project, frac.project):
                 with pytest.raises(Inconsistent, match="escaped"):
-                    eng.project(bad, k)
+                    call(bad, k)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -330,11 +569,28 @@ def test_invariants(name):
         for wit in cdga._kernel(rows):
             poly = {basis[c]: v for c, v in wit.items()}
             assert cdga._d_poly(poly, dpolys, degrees) == {}
-        for i, rep in enumerate(eng.coh(k).h_rows):
-            assert eng.project(rep, k) == {i: _F1}
+        data = eng.coh(k)
+        for c, row in data.quo.pivots.items():
+            wit = data.im.wits.get(c, {})
+            assert row[c] > 0 and gcd(*row.values(), *wit.values()) == 1
+        for i, rep in enumerate(data.h_rows):
+            assert project(eng, rational(rep, rep[min(rep)]), k) == {i: _F1}
         for x in exact_cochains(eng, k):
             w = eng.solve_d(x, k)
             assert cdga._d_poly(w, dpolys, degrees) == x
+
+
+def test_engine_holds_only_ints():
+    P = preset("filiform(10)")
+    obstruction(P, 2)
+    eng = P._engine
+    echs = [e for data in eng._coh.values() for e in (data.im, data.quo)]
+    echs += list(eng._d_echs.values())
+    echs += [e for spans in eng._spans.values() for e in spans.values() if e]
+    assert len(echs) > 20
+    for ech in echs:
+        for row in (*ech.pivots.values(), *ech.wits.values()):
+            assert all(type(v) is int for v in row.values())
 
 
 # The j = 2 tower of a nilmanifold never reaches a fixed point once its
@@ -367,8 +623,10 @@ def tower_adds(P, j, stage):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_tower_stage_adds_match(name, j):
     P = CASES[name]()
-    assert tower_adds(P, j, cdga._tower_stage) == \
-        tower_adds(P, j, old_tower_stage)
+    want = tower_adds(P, j, old_tower_stage)
+    assert tower_adds(P, j, frac_tower_stage) == want
+    assert tower_adds(P, j, cdga._tower_stage) == want
     model, psi = P, cdga._identity_map(P)
-    assert cdga._tower_stage(P, model, psi, j) == \
-        old_tower_stage(P, model, psi, j)
+    want = old_tower_stage(P, model, psi, j)
+    assert frac_tower_stage(P, model, psi, j) == want
+    assert cdga._tower_stage(P, model, psi, j) == want

@@ -521,6 +521,18 @@ class TestCdgaVerbs:
         ('{"dim": 4, "generators": [{"name": "x", "degree": 2},'
          ' {"name": "y", "degree": 5}], "d": {"y": "1/0*x*x"}}',
          "zero denominator"),
+        pytest.param(
+            '{"dim": 4, "generators": [{"name": "x", "degree": 2},'
+            ' {"name": "y", "degree": 5}], "d": {"y": "%s*x*x"}}' % ("1" * 5000),
+            "coefficient at position 0", id="5000-digit-coefficient"),
+        pytest.param(
+            '{"dim": 4, "generators": [{"name": "x", "degree": 2},'
+            ' {"name": "y", "degree": 5}], "d": {"y": "1/%s*x*x"}}' % ("7" * 5000),
+            "coefficient at position 0", id="5000-digit-denominator"),
+        pytest.param(
+            '{"dim": 4, "generators": [{"name": "x", "degree": 2},'
+            ' {"name": "y", "degree": 5}], "d": {"y": "\u00b2*x*x"}}',
+            "unknown generator", id="superscript-digit"),
     ])
     def test_malformed_cdga_exits_2(self, capsys, tmp_path, text, cause):
         path = tmp_path / "bad.json"

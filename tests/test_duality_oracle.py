@@ -11,6 +11,7 @@ exception with the same message.
 
 import gc
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -48,27 +49,45 @@ def oracle_check(P):
         ech = cdga._Echelon()
         for row in oracle_rows(eng, k, n2):
             if row:
-                ech.insert(row)
+                ech.insert(cdga._ints(row)[0])
         if ech.rank != bk:
             raise NoPoincareDuality(
                 f"cup pairing degenerate in degrees ({k}, {n2 - k})")
 
 
+def _submul(z, prow, coef, skip):
+    for cc, v in prow.items():
+        if cc == skip:
+            continue
+        nv = z.get(cc, Fraction(0)) - coef * v
+        if nv:
+            z[cc] = nv
+        else:
+            z.pop(cc, None)
+
+
+def lead_one_pivots(ech):
+    """An echelon's pivot rows over Q, each divided by its lead."""
+    return {c: {cc: Fraction(v, row[c]) for cc, v in row.items()}
+            for c, row in ech.pivots.items()}
+
+
 def phi_by_reduction(eng, n2):
     """phi(e_c) by reducing each unit row, free columns dropped."""
     data = eng.coh(n2)
+    im, quo = lead_one_pivots(data.im), lead_one_pivots(data.quo)
     out = {}
     for c, mono in enumerate(eng.basis(n2)):
-        z = {c: cdga._F1}
-        val = cdga._F0
+        z = {c: Fraction(1)}
+        val = Fraction(0)
         while z:
             lead = min(z)
             coef = z.pop(lead)
-            if lead in data.im.pivots:
-                cdga._submul(z, data.im.pivots[lead], coef, lead)
-            elif lead in data.quo.pivots:
+            if lead in im:
+                _submul(z, im[lead], coef, lead)
+            elif lead in quo:
                 val += coef
-                cdga._submul(z, data.quo.pivots[lead], coef, lead)
+                _submul(z, quo[lead], coef, lead)
         if val:
             out[mono] = val
     return out

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -50,6 +51,14 @@ class TestScalar:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             Scalar(1) / Scalar(0)
+
+    @pytest.mark.parametrize("value", [
+        Scalar(Fraction(-3, 4)), Scalar(Fraction(1, 2), Fraction(-3, 4)),
+        Scalar(0, 5), Scalar(0)])
+    def test_pickle_round_trip(self, value):
+        back = pickle.loads(pickle.dumps(value))
+        assert back == value and hash(back) == hash(value)
+        assert (type(back.re), type(back.im)) == (Fraction, Fraction)
 
     @pytest.mark.parametrize(
         "text,value",
@@ -164,6 +173,16 @@ class TestSubspace:
     def test_ambient_mismatch(self):
         with pytest.raises(AmbientMismatch):
             subspace_sum(zero_subspace(2), zero_subspace(3))
+
+    @pytest.mark.parametrize("S", [
+        Subspace.from_vectors(3, [(1, 2, 3), (0, Fraction(1, 2), 1)]),
+        Subspace.from_vectors(2, [(Scalar(1), Scalar(Fraction(1, 3), -2))]),
+        zero_subspace(4), full_subspace(2)], ids=["real", "gaussian", "zero", "full"])
+    def test_pickle_round_trip(self, S):
+        S.basis  # a built view is not part of the pickle
+        back = pickle.loads(pickle.dumps(S))
+        assert back == S and hash(back) == hash(S)
+        assert back.basis == S.basis and back.dim == S.dim
 
     def test_canonical_form_is_basis_independent(self):
         A = Subspace.from_vectors(3, [(1, 2, 3), (0, 1, 1)])
