@@ -70,10 +70,12 @@ __all__ = [
     "DEGREE_CAP",
 ]
 
-# Size guard for bicomplex input: from_json refuses a total degree of
-# larger dimension before building any matrix.  Exact elimination over
-# Q(i) on a few hundred coordinates already takes tens of seconds, and
-# every input the package's tests and benchmark build stays below 100.
+# Size guard for bicomplex input: before building any matrix, from_json
+# refuses a total degree of larger dimension, and total degrees spread
+# over more than this many (every degree in between is computed and
+# reported, empty or not).  Exact elimination over Q(i) on a few hundred
+# coordinates already takes tens of seconds, and every input the
+# package's tests and benchmark build stays below 100 on both counts.
 DEGREE_CAP = 512
 
 
@@ -844,6 +846,11 @@ def from_json(obj):
             raise InvalidInput(
                 f"total degree {k} has dimension {n}, above the cap of {DEGREE_CAP}"
             )
+    degs = [k for k, n in by_degree.items() if n]
+    if degs and max(degs) - min(degs) >= DEGREE_CAP:
+        raise InvalidInput(
+            f"total degrees {min(degs)}..{max(degs)} span more than the cap of {DEGREE_CAP}"
+        )
 
     def read(which, step):
         maps = {}

@@ -519,39 +519,24 @@ class _Engine:
         if got is not None:
             return got
         out = []
-        if k == 0:
-            out.append(())
-        elif k > 0:
-            degs = self.degrees
-            n = len(degs)
-            acc = []
-
-            def rec(i, rem):
-                if rem == 0:
-                    out.append(tuple(acc))
-                    if len(out) > PIECE_CAP:
-                        raise InfiniteDimensional(
-                            f"degree-{k} piece exceeds {PIECE_CAP} monomials")
-                    return
-                if i >= n:
-                    return
-                rec(i + 1, rem)
+        # depth first over the generators, on an explicit stack: each entry
+        # is (next generator, degree still to fill, monomial so far)
+        stack = [(0, k, ())] if k >= 0 else []
+        degs = self.degrees
+        while stack:
+            i, rem, mono = stack.pop()
+            if rem == 0:
+                out.append(mono)
+                if len(out) > PIECE_CAP:
+                    raise InfiniteDimensional(
+                        f"degree-{k} piece exceeds {PIECE_CAP} monomials")
+            elif i < len(degs):
+                stack.append((i + 1, rem, mono))
                 d = degs[i]
-                if d % 2:
-                    if d <= rem:
-                        acc.append(i)
-                        rec(i + 1, rem - d)
-                        acc.pop()
-                else:
-                    cnt = 1
-                    while cnt * d <= rem:
-                        acc.extend([i] * cnt)
-                        rec(i + 1, rem - cnt * d)
-                        del acc[len(acc) - cnt:]
-                        cnt += 1
-
-            rec(0, k)
-            out.sort()
+                top = min(rem // d, 1) if d % 2 else rem // d  # odd squares vanish
+                for cnt in range(1, top + 1):
+                    stack.append((i + 1, rem - cnt * d, mono + (i,) * cnt))
+        out.sort()
         self._basis[k] = out
         self._bindex[k] = {m: i for i, m in enumerate(out)}
         return out
@@ -1014,6 +999,9 @@ def obstruction(P, j):
     if n2 < 2 or n2 % 2:
         raise InvalidInput(
             f"formal dimension must be even and >= 2, got {n2}")
+    eng = _engine(P)
+    for k in range(n2 + 1):  # PIECE_CAP refuses an oversized piece up front
+        eng.basis(k)
     _check_poincare_duality(P)
     cup_ok = d_jk(P, j, j + 1) == 0
     rows = {}
@@ -1095,7 +1083,11 @@ def preset(name):
     """Named example presentations; filiform takes its dimension inline."""
     m = _FILIFORM_RE.match(name)
     if m:
-        n2 = int(m.group(1))
+        digits = m.group(1).lstrip("0") or "0"
+        if len(digits) > len(str(PIECE_CAP)) or int(digits) > PIECE_CAP:
+            raise UnknownPreset(f"filiform dimension above {PIECE_CAP}: its "
+                                f"degree-1 piece exceeds {PIECE_CAP} monomials")
+        n2 = int(digits)
         if n2 < 4 or n2 % 2:
             raise UnknownPreset(
                 f"filiform dimension must be an even number >= 4, got {n2}")

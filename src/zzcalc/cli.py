@@ -188,14 +188,8 @@ def _render_filtration(tab):
         if v:
             lines.append(f"  k={k}  (p,q)=({p},{q})  dim {v}")
     lines.append("total filtration graded pieces:")
-    ks = sorted({k for _, k in tab.Ftot})
-    for k in ks:
-        graded = {}
-        rs = sorted(r for r, kk in tab.Ftot if kk == k)
-        for r in rs:
-            g = tab.Ftot[(r, k)] - tab.Ftot.get((r + 1, k), 0)
-            if g:
-                graded[r] = g
+    for k in sorted({k for _, k in tab.Ftot}):
+        graded = tab.graded_total(k)
         if graded:
             body = "  ".join(f"gr^{r}:{v}" for r, v in sorted(graded.items()))
             lines.append(f"  k={k}  {body}")

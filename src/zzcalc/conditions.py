@@ -128,9 +128,8 @@ def _mod_dim(space, denom):
 def les(A):
     """The long exact sequence report, with exactness bookkeeping."""
     tc = _tc(A)
-    degs = tc.degrees()
     rows = {}
-    for k in range(min(degs), max(degs) + 1) if degs else ():
+    for k in tc.degrees():
         n1 = tc.kerd_cap_kerdc(k).dim - tc.d_ker_dc(k).dim
         n3 = tc.dinv_im_dc(k).dim - tc.imd_plus_imdc(k).dim
         joint = subspace_intersect(tc.kerd_cap_kerdc(k), tc.imd_cap_imdc(k))

@@ -25,14 +25,19 @@ descriptions of Bott-Chern and Aeppli used elsewhere agree with the
 bigraded ones.
 
 The filtrations F^p (blocks with p >= level) and Fbar^q (q >= level)
-are coordinate index lists.  Ker d ∩ F^p and the spectral-sequence terms
-Z_r = F^a ∩ d^{-1}(F^{a+r}) are kernels of submatrices of d: keep the
-columns of level >= p (or >= a), and every row (or the rows of level
-< a+r).  The row spectral sequence is the q-filtration of the same
-total complex.  The Hodge filtrations are intersected and summed in H^k
-coordinates: one linear map on degree-k cocycles, with kernel exactly
-Im d, carries each Ker d ∩ F^p and Ker d ∩ Fbar^q to a subspace of
-Q(i)^{b_k}, and every lattice operation runs there.
+are coordinate index lists, and Ker d ∩ F^p is the kernel of d on the
+columns of level >= p.  Both spectral sequences come from one
+persistence pairing of d per axis (p for the column sequence, q for the
+row sequence, on the same total complex): the columns of d, fed by
+falling level into one elimination over the next degree's coordinates
+by rising level, each end with a lead, the lowest level their reduced
+image reaches.  A column of level a with lead at level t pairs two
+coordinates and counts one rank of d_{t-a}; page r at a position is
+its dimension less the pairs of jump below r that start or end there.
+The Hodge filtrations are intersected and summed in H^k coordinates:
+one linear map on degree-k cocycles, with kernel exactly Im d, carries
+each Ker d ∩ F^p and Ker d ∩ Fbar^q to a subspace of Q(i)^{b_k}, and
+every lattice operation runs there.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from .bicomplex import (
 )
 from .errors import Inconsistent, InvalidInput
 from .linalg import (
+    _echelon,
     _kernel_rows,
     _reduce,
     _span,
@@ -189,32 +195,6 @@ class TotalComplex:
     def h_dc(self, k):
         return self.ker_dc(k).dim - self.im_dc(k).dim
 
-    def filtration_index(self, k, axis, level):
-        """Degree-k coordinates whose p (axis 0) or q (axis 1) is >= level."""
-        return [
-            i
-            for pq, off, dim in self.blocks(k)
-            if pq[axis] >= level
-            for i in range(off, off + dim)
-        ]
-
-    def d_kernel(self, k, cols, rows):
-        """Vectors on the degree-k coordinates cols whose d vanishes on
-        the degree-(k+1) coordinates rows: the kernel of that submatrix
-        of d, embedded back into degree k."""
-        cols, rows = tuple(cols), tuple(rows)
-
-        def build():
-            d = self.d(k).sparse
-            at = {j: t for t, j in enumerate(cols)}
-            sub = [{at[j]: v for j, v in d[i].items() if j in at} for i in rows]
-            # an increasing embedding of coordinates keeps the rows canonical
-            return _subspace(self.dim(k), [
-                {cols[t]: v for t, v in r.items()} for r in _kernel_rows(sub, len(cols))
-            ])
-
-        return self._get(("d_kernel", k, cols, rows), build)
-
     def filtration(self):
         return self._get(("filtration",), lambda: _compute_filtration(self))
 
@@ -259,25 +239,18 @@ def _bigraded_dims(A, functor):
     dims = {}
     for (p, q) in A.support():
         if functor == "dolbeault":
-            ker = kernel_basis(A.delbar_at(p, q)).dim
-            im = image_basis(A.delbar_at(p, q - 1)).dim
-            d = ker - im
+            ker = kernel_basis(A.delbar_at(p, q))
+            im = image_basis(A.delbar_at(p, q - 1))
         elif functor == "conj_dolbeault":
-            ker = kernel_basis(A.del_at(p, q)).dim
-            im = image_basis(A.del_at(p - 1, q)).dim
-            d = ker - im
+            ker = kernel_basis(A.del_at(p, q))
+            im = image_basis(A.del_at(p - 1, q))
         elif functor == "bott_chern":
-            ker = subspace_intersect(
-                kernel_basis(A.del_at(p, q)), kernel_basis(A.delbar_at(p, q))
-            )
+            ker = subspace_intersect(kernel_basis(A.del_at(p, q)), kernel_basis(A.delbar_at(p, q)))
             im = image_basis(A.del_at(p - 1, q) * A.delbar_at(p - 1, q - 1))
-            d = ker.dim - im.dim
         else:  # aeppli
             ker = kernel_basis(A.del_at(p, q + 1) * A.delbar_at(p, q))
-            im = subspace_sum(
-                image_basis(A.del_at(p - 1, q)), image_basis(A.delbar_at(p, q - 1))
-            )
-            d = ker.dim - im.dim
+            im = subspace_sum(image_basis(A.del_at(p - 1, q)), image_basis(A.delbar_at(p, q - 1)))
+        d = ker.dim - im.dim
         if d:
             dims[(p, q)] = d
     return dims
@@ -366,8 +339,20 @@ class FiltrationTable:
 
 
 def _kerd_F(tc, k, axis, level):
-    """Ker d ∩ F^level in degree k (Fbar^level along axis 1)."""
-    return tc.d_kernel(k, tc.filtration_index(k, axis, level), range(tc.dim(k + 1)))
+    """Ker d ∩ F^level in degree k (Fbar^level along axis 1): the kernel
+    of d on the coordinates of level >= level, embedded back."""
+
+    def build():
+        cols = [i for pq, off, dim in tc.blocks(k) if pq[axis] >= level
+                for i in range(off, off + dim)]
+        at = {j: t for t, j in enumerate(cols)}
+        sub = [{at[j]: v for j, v in row.items() if j in at} for row in tc.d(k).sparse]
+        # an increasing embedding of coordinates keeps the rows canonical
+        return _subspace(tc.dim(k), [
+            {cols[t]: v for t, v in r.items()} for r in _kernel_rows(sub, len(cols))
+        ])
+
+    return tc._get(("kerd_F", k, axis, level), build)
 
 
 def _h_map(tc, k):
@@ -431,15 +416,9 @@ def _compute_filtration(tc):
 
         V = {p: coords(0, p) for p in range(ps[0], ps[-1] + 2)}
         W = {q: coords(1, q) for q in range(qs[0], qs[-1] + 2)}
-        for p in V:
-            table.F[(p, k)] = V[p].dim
-        for q in W:
-            table.Fbar[(q, k)] = W[q].dim
-
-        VW = {}
-        for p in V:
-            for q in W:
-                VW[(p, q)] = subspace_intersect(V[p], W[q])
+        table.F.update({(p, k): V[p].dim for p in V})
+        table.Fbar.update({(q, k): W[q].dim for q in W})
+        VW = {(p, q): subspace_intersect(V[p], W[q]) for p in V for q in W}
         for p in range(ps[0], ps[-1] + 1):
             for q in range(qs[0], qs[-1] + 1):
                 table.FcapFbar[(p, q, k)] = VW[(p, q)].dim
@@ -500,59 +479,73 @@ class SpectralPage:
         }
 
 
-def _Z(tc, axis, r, a, b):
-    """Z_r at filtration position (a, b): the elements of degree a+b and
-    level >= a whose d has level >= a+r."""
-    k = a + b
+def _rising(tc, k, axis):
+    """(coordinate, level) for each degree-k coordinate, by rising level."""
+    blocks = sorted(tc.blocks(k), key=lambda block: block[0][axis])
+    return [(i, pq[axis]) for pq, off, dim in blocks for i in range(off, off + dim)]
+
+
+def _pairs(tc, axis):
+    """The persistence pairing of d along one axis, as counts
+    {(a, b, jump): n}: n pairs from position (a, b) to level a + jump.
+
+    In degree k the columns of d go by falling level through one
+    elimination over the degree-(k+1) coordinates by rising level; a
+    column of level a whose lead after reduction has level t pairs the
+    two with jump t - a.  A lead's own column in degree k+1 is skipped
+    (Chen and Kerber's clearing): as d of the reduced column is 0, it
+    lies in the span of the columns fed before it.
+    """
 
     def build():
-        high = set(tc.filtration_index(k + 1, axis, a + r))
-        low = [i for i in range(tc.dim(k + 1)) if i not in high]
-        return tc.d_kernel(k, tc.filtration_index(k, axis, a), low)
+        pairs = {}
+        cleared = set()
+        up = _rising(tc, tc.min_deg, axis)
+        for k in tc.degrees():
+            src, up = up, _rising(tc, k + 1, axis)
+            at = {i: t for t, (i, _) in enumerate(up)}
+            cols = tc.d(k)._columns()
+            live = [(j, a) for j, a in reversed(src) if j not in cleared]
+            leads = []
+            _echelon([{at[i]: v for i, v in cols[j].items()} for j, _ in live], leads)
+            cleared = set()
+            for (_, a), c in zip(live, leads):
+                if c is not None:
+                    i, t = up[c]
+                    cleared.add(i)
+                    key = (a, k - a, t - a)
+                    pairs[key] = pairs.get(key, 0) + 1
+        return pairs
 
-    return tc._get(("Z", axis, r, a, b), build)
-
-
-def _B(tc, axis, r, a, b):
-    """The subspace divided out of Z_r at filtration position (a, b)."""
-
-    def build():
-        zz = _Z(tc, axis, r - 1, a + 1, b - 1)
-        img = apply_matrix(tc.d(a + b - 1), _Z(tc, axis, r - 1, a - r + 1, b + r - 2))
-        return subspace_sum(zz, img)
-
-    return tc._get(("pageB", axis, r, a, b), build)
+    return tc._get(("pairs", axis), build)
 
 
 def _page(tc, axis, r):
     """Dims and d_r ranks of page r, keyed by filtration position
-    (level, other index); d_r goes from (a, b) to (a+r, b-r+1)."""
-    dims = {}
+    (level, other index); d_r goes from (a, b) to (a+r, b-r+1).
+
+    A pair of jump r is one rank of d_r out of its start; from page
+    r+1 on it takes one dimension off each of its two ends.
+    """
+    dims = {(pq[axis], pq[1 - axis]): n for pq, n in tc.A.spaces.items()}
     ranks = {}
-    for pq in tc.A.spaces:
-        a, b = pq[axis], pq[1 - axis]
-        d = _Z(tc, axis, r, a, b).dim - _B(tc, axis, r, a, b).dim
-        if d:
-            dims[(a, b)] = d
-    for (a, b) in dims:
-        if (a + r, b - r + 1) not in dims:
-            continue
-        tgt_b = _B(tc, axis, r, a + r, b - r + 1)
-        out = subspace_sum(apply_matrix(tc.d(a + b), _Z(tc, axis, r, a, b)), tgt_b)
-        rank = out.dim - tgt_b.dim
-        if rank:
-            ranks[(a, b)] = rank
-    return dims, ranks
+    for (a, b, jump), n in _pairs(tc, axis).items():
+        if jump < r:
+            dims[(a, b)] -= n
+            dims[(a + jump, b - jump + 1)] -= n
+        elif jump == r:
+            ranks[(a, b)] = n
+    return {pos: n for pos, n in dims.items() if n}, ranks
 
 
 def spectral_page(A, which, r):
     """Page r of the column or row spectral sequence.
 
     The column sequence is that of the filtration by p, the row sequence
-    that of the filtration by q, both on the same total complex, where
-    Z_r is the kernel of a submatrix of d.  Row positions come out as
-    (q, p) and are swapped back, so the row page at (p,q) has its d_r
-    pointing to (p-r+1, q+r).
+    that of the filtration by q, both on the same total complex, and
+    every page of one is read off that filtration's persistence pairing
+    of d.  Row positions come out as (q, p) and are swapped back, so the
+    row page at (p,q) has its d_r pointing to (p-r+1, q+r).
     """
     if r < 1:
         raise InvalidInput("page index must be >= 1")

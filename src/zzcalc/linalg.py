@@ -437,34 +437,37 @@ def _gcanon(row):
     return {k: x // g for k, (x, _) in out.items()}
 
 
-def _echelon(rows):
-    """Canonical reduced echelon rows spanning the same space, by pivot."""
+def _echelon(rows, leads=None):
+    """Canonical reduced echelon rows spanning the same space, by pivot.
+    Each row appends to a given list leads its least column once reduced
+    by the rows before it (the largest lead in the row plus their span),
+    or None if it lies in their span."""
     live = []
     pairs = False
     for row in rows:
-        if not row:
-            continue
         if _is_pairs(row):
             if not any(v[0] for v in row.values()):
                 row = {k: v[1] for k, v in row.items()}  # times -i
             else:
                 pairs = True
         live.append(row)
+    leads = [] if leads is None else leads
     if pairs:
-        return _insert_all([_as_pairs(r) for r in live], _gsub, _gcanon)
-    return _insert_all(live, _sub, _canon)
+        return _insert_all([_as_pairs(r) for r in live], _gsub, _gcanon, leads)
+    return _insert_all(live, _sub, _canon, leads)
 
 
-def _insert_all(rows, sub, canon):
+def _insert_all(rows, sub, canon, leads):
     # Every row in piv is zero at every other pivot column, so clearing one
     # pivot column of a row never fills another.
     piv = {}
     for r in rows:
         for c in [c for c in r if c in piv]:
             r = sub(r, piv[c], c)
-        if not r:
+        c = min(r, default=None)
+        leads.append(c)
+        if c is None:
             continue
-        c = min(r)
         for c2, prow in piv.items():
             if c in prow:
                 piv[c2] = sub(prow, r, c)

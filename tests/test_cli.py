@@ -14,6 +14,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import pytest
@@ -122,6 +123,8 @@ class TestValidate:
             pytest.param(
                 '{"spaces": {"0,0": 1, "1,0": 1}, "del": {"0,0": [["%s"]]}}' % ("1" * 5000),
                 id="5000-digit-entry"),
+            pytest.param('{"spaces": {"0,0": 1, "100000000,0": 1}}', id="degree-gap"),
+            pytest.param('{"spaces": {"0,0": 1, "512,0": 1}}', id="degree-span-513"),
         ],
     )
     def test_malformed_bicomplex_exits_2(self, capsys, monkeypatch, text):
@@ -436,6 +439,17 @@ class TestCdgaVerbs:
         code = cli.run(["cdga", "obstruct", "--preset", "torus", "--j", "1"])
         assert code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("name", [
+        pytest.param("filiform(2000)", id="2000-generators"),
+        pytest.param("filiform(%s)" % ("8" * 5000), id="5000-digit-dimension"),
+    ])
+    def test_huge_preset_refused_up_front(self, capsys, name):
+        start = time.perf_counter()
+        code, _, err = run_lines(capsys, ["cdga", "obstruct", "--preset", name, "--j", "1"])
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert time.perf_counter() - start < 2
 
     def test_rank_matches_library(self, capsys):
         P = preset("ex_k2_M")

@@ -266,11 +266,9 @@ def test_zigzag_purity_defect_is_half_length_rounded_down(s):
         assert total == (s.length - 1) // 2
 
 
-def test_each_z_position_builds_its_index_lists_once(monkeypatch):
-    """_Z is cached per (axis, r, a, b): on a sweep-like sum, check_ddc3
-    asks filtration_index for two lists per Z_r position it touches and
-    one per Ker d ∩ F, however often a page asks for the same Z_r."""
-    from zzcalc import functors
+def test_check_ddc3_caches_one_pairing_per_axis():
+    """check_ddc3 reads every spectral page from one persistence pairing
+    per axis, cached as ("pairs", axis), and caches no page subspaces."""
     from zzcalc.conditions import check_ddc3
 
     A = direct_sum(make_square((1, 0)), make_dot((0, 0)))
@@ -278,12 +276,6 @@ def test_each_z_position_builds_its_index_lists_once(monkeypatch):
                                      ((1, 1), 3, "horizontal"), ((3, 2), 7, "vertical")):
         A = direct_sum(A, make_zigzag(zigzag_shape(start, length, direction)))
     tc = TotalComplex(scramble(A, 11))
-    calls, kerd = [], []
-    index, kerd_F = TotalComplex.filtration_index, functors._kerd_F
-    monkeypatch.setattr(TotalComplex, "filtration_index",
-                        lambda self, *a: calls.append(a) or index(self, *a))
-    monkeypatch.setattr(functors, "_kerd_F", lambda *a: kerd.append(a) or kerd_F(*a))
     check_ddc3(tc)
-    positions = [key for key in tc._cache if key[0] == "Z"]
-    assert len(positions) > 20
-    assert len(calls) == 2 * len(positions) + len(kerd)
+    assert sorted(key for key in tc._cache if key[0] == "pairs") == [("pairs", 0), ("pairs", 1)]
+    assert not [key for key in tc._cache if key[0] in ("Z", "pageB")]

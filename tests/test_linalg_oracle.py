@@ -10,7 +10,8 @@ it shares no arithmetic with the integer rows it checks.  The library
 route must give the same subspaces (as Scalar bases and pivot lists),
 ranks, echelon forms and matrices on fixed-seed real, Gaussian-integer
 and rational matrices, and the same value in every TotalComplex cache
-family on scrambled sums drawn like acceptance criterion 3's.  Its own
+family on scrambled sums drawn like acceptance criterion 3's (each
+persistence pairing is held to the ranks of d that it must give).  Its own
 checks of the ddc+3 condition make no Scalar at all.
 """
 
@@ -38,7 +39,7 @@ from zzcalc.functors import TotalComplex, spectral_page
 from zzcalc.linalg import I, ONE, ZERO, Scalar, _coerce, format_scalar, parse_scalar
 
 from test_acceptance import random_table
-from test_filtration_oracle import old_compute_filtration
+from test_filtration_oracle import old_compute_filtration, old_kerd_F
 
 
 # ---------------------------------------------------------------------------
@@ -596,16 +597,37 @@ class OldRoute:
 
         return self._get(("d_kernel", k, cols, rows), build)
 
-    def Z(self, axis, r, a, b):
-        k = a + b
-        high = set(self.tc.filtration_index(k + 1, axis, a + r))
-        low = [i for i in range(self.dim(k + 1)) if i not in high]
-        return self.d_kernel(k, self.tc.filtration_index(k, axis, a), low)
+    def kerd_F(self, k, axis, level):
+        cols = [i for pq, off, dim in degree_blocks(self.tc.A, k) if pq[axis] >= level
+                for i in range(off, off + dim)]
+        return self.d_kernel(k, cols, range(self.dim(k + 1)))
 
-    def pageB(self, axis, r, a, b):
-        zz = self.Z(axis, r - 1, a + 1, b - 1)
-        img = apply_matrix(self.d(a + b - 1), self.Z(axis, r - 1, a - r + 1, b + r - 2))
-        return subspace_sum(zz, img)
+    def d_rank(self, k, cols, rows):
+        """Rank of d(k) on the degree-k coordinates cols and the
+        degree-(k+1) coordinates rows."""
+        d = self.d(k).data
+        return len(_canonical_rows([[d[i][j] for j in cols] for i in rows], len(cols))[1])
+
+
+def assert_pairing_lemma(old, axis, pairs):
+    """The pairs of degree k with source level >= a and target level < b
+    are as many as the rank of d(k) from the coordinates of level >= a
+    to those of level < b, for every a and b."""
+    tc = old.tc
+
+    def levels(deg):
+        return [(i, pq[axis]) for pq, off, dim in tc.blocks(deg) for i in range(off, off + dim)]
+
+    for k in tc.degrees():
+        src, tgt = levels(k), levels(k + 1)
+        span = [lv for _, lv in src + tgt] or [0]
+        for a in range(min(span), max(span) + 2):
+            for b in range(min(span), max(span) + 2):
+                count = sum(n for (s, o, jump), n in pairs.items()
+                            if s + o == k and s >= a and s + jump < b)
+                rank = old.d_rank(k, [i for i, lv in src if lv >= a],
+                                  [i for i, lv in tgt if lv < b])
+                assert count == rank, (axis, k, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -787,12 +809,17 @@ def test_cache_families_against_old_route(table, A):
             assert value == old_compute_filtration(TotalComplex(A))
         elif name in ("d", "dc", "ddc"):
             assert_same_matrix(value, getattr(old, name)(*args))
+        elif name == "pairs":
+            assert_pairing_lemma(old, *args, value)
+        elif name == "kerd_F":
+            assert_same_subspace(value, old.kerd_F(*args))
+            assert value == old_kerd_F(tc, *args)
         else:
             method = {"ii_sum": old.ii_sum, "ii_cap": old.ii_cap}.get(name) or getattr(old, name)
             assert_same_subspace(value, method(*args))
     assert families >= {"d", "dc", "ddc", "ker_d", "im_d", "ker_dc", "im_dc", "ker_ddc",
                         "im_ddc", "d_ker_dc", "dinv_im_dc", "kk", "ii_sum", "ii_cap",
-                        "kd_imd", "kd_imdc", "d_kernel", "pageB", "filtration",
+                        "kd_imd", "kd_imdc", "pairs", "kerd_F", "filtration",
                         "multiplicities"}
 
 
