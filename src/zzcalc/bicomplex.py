@@ -70,12 +70,13 @@ __all__ = [
     "DEGREE_CAP",
 ]
 
-# Size guard for bicomplex input: before building any matrix, from_json
-# refuses a total degree of larger dimension, and total degrees spread
-# over more than this many (every degree in between is computed and
-# reported, empty or not).  Exact elimination over Q(i) on a few hundred
-# coordinates already takes tens of seconds, and every input the
-# package's tests and benchmark build stays below 100 on both counts.
+# Size guard for every bicomplex, from JSON (before any matrix is parsed),
+# a builder or the API: a total degree of larger dimension is refused, and
+# so are total degrees spread over more than this many (every degree in
+# between is computed and reported, empty or not).  Exact elimination
+# over Q(i) on a few hundred coordinates already takes tens of seconds,
+# and every input the package's tests and benchmark build stays below 100
+# on both counts.
 DEGREE_CAP = 512
 
 
@@ -368,6 +369,23 @@ class MultiplicityTable:
 # The Bicomplex type
 
 
+def _check_size(spaces):
+    """Refuse {(p, q): dim} beyond DEGREE_CAP in dimension or degree span."""
+    by_degree = {}
+    for (p, q), dim in spaces.items():
+        by_degree[p + q] = by_degree.get(p + q, 0) + dim
+    for k, n in sorted(by_degree.items()):
+        if n > DEGREE_CAP:
+            raise InvalidInput(
+                f"total degree {k} has dimension {n}, above the cap of {DEGREE_CAP}"
+            )
+    degs = [k for k, n in by_degree.items() if n]
+    if degs and max(degs) - min(degs) >= DEGREE_CAP:
+        raise InvalidInput(
+            f"total degrees {min(degs)}..{max(degs)} span more than the cap of {DEGREE_CAP}"
+        )
+
+
 class Bicomplex:
     """Bounded bigraded space with del and delbar matrices.
 
@@ -387,6 +405,7 @@ class Bicomplex:
                 raise InvalidInput(f"negative dimension at {pq}")
             if dim:
                 clean[pq] = int(dim)
+        _check_size(clean)
         self.spaces = clean
         self.del_maps = {
             tuple(k): v for k, v in (del_maps or {}).items() if not v.is_zero()
@@ -838,19 +857,7 @@ def from_json(obj):
         if type(dim) is not int or dim < 0:
             raise InvalidInput(f"bad dimension {dim!r} at {key!r}")
         spaces[_parse_pq(key)] = dim
-    by_degree = {}
-    for (p, q), dim in spaces.items():
-        by_degree[p + q] = by_degree.get(p + q, 0) + dim
-    for k, n in sorted(by_degree.items()):
-        if n > DEGREE_CAP:
-            raise InvalidInput(
-                f"total degree {k} has dimension {n}, above the cap of {DEGREE_CAP}"
-            )
-    degs = [k for k, n in by_degree.items() if n]
-    if degs and max(degs) - min(degs) >= DEGREE_CAP:
-        raise InvalidInput(
-            f"total degrees {min(degs)}..{max(degs)} span more than the cap of {DEGREE_CAP}"
-        )
+    _check_size(spaces)
 
     def read(which, step):
         maps = {}

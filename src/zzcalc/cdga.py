@@ -38,7 +38,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 from .conditions import ell
 from .errors import (
@@ -519,10 +519,15 @@ class _Engine:
         if got is not None:
             return got
         out = []
+        degs = self.degrees
+        # reach[i]: the largest degree generators i.. can fill; odd squares
+        # vanish, so only an even generator leaves it unbounded
+        reach = [0] * (len(degs) + 1)
+        for i in reversed(range(len(degs))):
+            reach[i] = inf if degs[i] % 2 == 0 else degs[i] + reach[i + 1]
         # depth first over the generators, on an explicit stack: each entry
         # is (next generator, degree still to fill, monomial so far)
         stack = [(0, k, ())] if k >= 0 else []
-        degs = self.degrees
         while stack:
             i, rem, mono = stack.pop()
             if rem == 0:
@@ -530,7 +535,7 @@ class _Engine:
                 if len(out) > PIECE_CAP:
                     raise InfiniteDimensional(
                         f"degree-{k} piece exceeds {PIECE_CAP} monomials")
-            elif i < len(degs):
+            elif rem <= reach[i]:
                 stack.append((i + 1, rem, mono))
                 d = degs[i]
                 top = min(rem // d, 1) if d % 2 else rem // d  # odd squares vanish

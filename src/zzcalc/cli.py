@@ -1,7 +1,9 @@
 """Command-line frontend.
 
 Every verb is a thin adapter: load JSON, call one library function,
-render the result.  No mathematics lives in this module.
+render the result.  No mathematics lives in this module.  A report verb
+names only its library call, its text renderer and its JSON encoder;
+one handler, `_report`, runs them all.
 
 Exit codes: 0 computed (and, for `check`, the condition holds);
 1 the checked condition fails; 2 input error; 3 internal invariant
@@ -9,7 +11,8 @@ violation.  `--json` switches from aligned text to canonical JSON
 (sorted keys, compact separators).  A missing file argument reads
 stdin, so pipelines like `zz build vaisman ... | zz check --ddc3`
 work.  `ZZ_SEED` fixes the default scramble seed; `--jobs N` fans a
-multi-file check or validate sweep over processes.
+multi-file check or validate sweep over processes, and never changes
+what is printed.
 """
 
 import argparse
@@ -18,6 +21,8 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+from operator import methodcaller
 
 from .bicomplex import dual, dumps, from_json, scramble
 from .cdga import (
@@ -100,17 +105,11 @@ def _load_cdga(args):
         _parse_json(_read_text(args.file), args.file or "stdin"))
 
 
+_to_json = methodcaller("to_json")
+
+
 def _emit_json(obj):
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-
-
-def _write_complex(A, out):
-    text = dumps(A)
-    if out in (None, "-"):
-        print(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +264,45 @@ def _render_purity(rep):
     return lines
 
 
-def _render_pdef(per_degree, total):
+def _render_pdef(result):
+    per_degree, total = result
     lines = [f"degree {k}: {v}" for k, v in sorted(per_degree.items())]
     lines.append(f"total: {total}")
     return lines
+
+
+def _pdef_json(result):
+    per_degree, total = result
+    return {"per_degree": {str(k): v for k, v in per_degree.items()},
+            "total": total}
+
+
+def _render_cdga_cohomology(H):
+    return [f"H^{k} (dim {H.dims[k]}): {', '.join(H.representatives(k))}"
+            for k in sorted(H.dims)]
+
+
+def _render_rank(obj):
+    j, k = obj["j"], obj["k"]
+    return [f"r_{j}^{k} = {obj['r']}", f"d_{j}^{k} = {obj['d']}",
+            f"slack = {obj['slack']}"]
+
+
+def _render_model(result):
+    model, psi, stabilized = result
+    d_text = model.differential_text()
+    lines = [f"{name}  degree {deg}  d -> {d_text.get(name, '0')}  "
+             f"image {psi[name]}" for name, deg in model.generators]
+    if not model.generators:
+        lines.append("(trivial model)")
+    lines.append(f"stabilized: {str(stabilized).lower()}")
+    return lines
+
+
+def _model_json(result):
+    model, psi, stabilized = result
+    return {"model": cdga_to_json(model), "map": psi,
+            "stabilized": stabilized}
 
 
 def _obstruction_json(rep):
@@ -324,41 +358,88 @@ def _render_compat(rep):
     return lines
 
 
+def _compat_json(rep):
+    return {
+        "j": rep.j,
+        "cup_hypothesis": rep.cup_hypothesis,
+        "rows": {
+            str(k): {"r": row.r_jk, "d": row.d_jk,
+                     "slack": row.slack, "ell": row.ell}
+            for k, row in rep.rows.items()
+        },
+        "verdict": rep.verdict,
+        "excluded_at": list(rep.excluded_at),
+    }
+
+
 # ---------------------------------------------------------------------------
+# Handlers: one for every report verb, one for every verb that writes a
+# complex, and one per-file sweep shared by validate and check.
+
+# The errors a verb reports instead of crashing: an internal invariant
+# violation exits 3, everything else 2.
+_REFUSALS = (InputError, InternalError, NotStabilized)
+
+
+def _refusal(exc):
+    """The exit code and message for an error in _REFUSALS."""
+    if isinstance(exc, InternalError):
+        return 3, f"internal error: {exc}"
+    return 2, f"error: {exc}"
+
+
+def _report(compute, render, encode, args, code=lambda result: 0):
+    """Compute a result from args, then print its text or its JSON."""
+    result = compute(args)
+    if args.json:
+        _emit_json(encode(result))
+    else:
+        for line in render(result):
+            print(line)
+    return code(result)
+
+
+def _write(compute, args):
+    """Compute a complex from args, then write its canonical JSON."""
+    text = dumps(compute(args))
+    if args.out in (None, "-"):
+        print(text)
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    return 0
+
+
 # Sweep workers (module level so ProcessPoolExecutor can pickle them).
 
 
 def _validate_worker(path):
-    try:
-        A = _load_bicomplex(path)
-        dims = A.spaces
-        total = sum(dims.values())
-        degs = sorted(p + q for p, q in dims)
-        span = f"{degs[0]}..{degs[-1]}" if degs else "empty"
-        return 0, f"ok: {len(dims)} spaces, dim {total}, degrees {span}"
-    except InputError as exc:
-        return 2, f"error: {exc}"
-    except InternalError as exc:
-        return 3, f"internal error: {exc}"
+    dims = _load_bicomplex(path).spaces
+    total = sum(dims.values())
+    degs = sorted(p + q for p, q in dims)
+    span = f"{degs[0]}..{degs[-1]}" if degs else "empty"
+    return 0, f"ok: {len(dims)} spaces, dim {total}, degrees {span}"
 
 
 def _check_worker(item):
     path, cond, j = item
+    A = _load_bicomplex(path)
+    if cond == "ddc3":
+        holds = check_ddc3(A).holds
+    elif cond == "ddc":
+        holds = check_ddc(A)
+    elif cond == "star":
+        holds = star_condition(A)
+    else:
+        holds = j_controlled(A, j)
+    return (0 if holds else 1), ("holds" if holds else "fails")
+
+
+def _guarded(worker, item):
     try:
-        A = _load_bicomplex(path)
-        if cond == "ddc3":
-            holds = check_ddc3(A).holds
-        elif cond == "ddc":
-            holds = check_ddc(A)
-        elif cond == "star":
-            holds = star_condition(A)
-        else:
-            holds = j_controlled(A, j)
-        return (0 if holds else 1), ("holds" if holds else "fails")
-    except InputError as exc:
-        return 2, f"error: {exc}"
-    except InternalError as exc:
-        return 3, f"internal error: {exc}"
+        return worker(item)
+    except _REFUSALS as exc:
+        return _refusal(exc)
 
 
 def _usable_cpus():
@@ -372,151 +453,54 @@ def _sweep(items, worker, jobs):
     # Under fork every worker starts at once, so never ask for more
     # than there are CPUs or items.
     jobs = min(jobs, _usable_cpus(), len(items))
+    worker = partial(_guarded, worker)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(worker, items))
     return [worker(item) for item in items]
 
 
-# ---------------------------------------------------------------------------
-# Verb handlers.
+def _files(args):
+    files = args.files or [None]
+    if None in files and len(files) > 1:
+        raise InvalidInput("stdin may appear only as the single input")
+    return files
+
+
+def _per_file(args, files, items, worker, entry):
+    """Sweep worker over one item per file; print a line or object each.
+
+    entry(code, message) gives a file's JSON fields besides its label.
+    """
+    code = 0
+    out = []
+    for path, (c, msg) in zip(files, _sweep(items, worker, args.jobs)):
+        code = max(code, c)
+        label = path or "stdin"
+        out.append({"file": label, **entry(c, msg)})
+        if not args.json:
+            print(f"{label}: {msg}" if len(files) > 1 else msg)
+    if args.json:
+        _emit_json(out if len(files) > 1 else out[0])
+    return code
 
 
 def _cmd_validate(args):
-    files = args.files or [None]
-    if None in files and len(files) > 1:
-        raise InvalidInput("stdin may appear only as the single input")
-    results = _sweep(files, _validate_worker, args.jobs)
-    code = 0
-    out = []
-    for path, (c, msg) in zip(files, results):
-        code = max(code, c)
-        label = path or "stdin"
-        out.append({"file": label, "ok": c == 0, "detail": msg})
-        if not args.json:
-            print(f"{label}: {msg}" if len(files) > 1 else msg)
-    if args.json:
-        _emit_json(out if len(files) > 1 else out[0])
-    return code
-
-
-def _cmd_decompose(args):
-    table = multiplicities(_load_bicomplex(args.file))
-    if args.json:
-        _emit_json(table.to_json())
-    else:
-        for line in _render_mult_table(table):
-            print(line)
-    return 0
-
-
-def _cmd_cohomology(args):
-    table = cohomology(_load_bicomplex(args.file), args.functor)
-    if args.json:
-        _emit_json(table.to_json())
-    else:
-        for line in _render_cohomology(table):
-            print(line)
-    return 0
-
-
-def _cmd_filtration(args):
-    tab = hodge_filtration(_load_bicomplex(args.file))
-    if args.json:
-        _emit_json(tab.to_json())
-    else:
-        for line in _render_filtration(tab):
-            print(line)
-    return 0
-
-
-def _cmd_pages(args):
-    page = spectral_page(_load_bicomplex(args.file), args.which, args.r)
-    if args.json:
-        _emit_json(page.to_json())
-    else:
-        for line in _render_page(page):
-            print(line)
-    return 0
-
-
-def _cmd_pdef(args):
-    per_degree, total = purity_defect(_load_bicomplex(args.file))
-    if args.json:
-        _emit_json({
-            "per_degree": {str(k): v for k, v in per_degree.items()},
-            "total": total,
-        })
-    else:
-        for line in _render_pdef(per_degree, total):
-            print(line)
-    return 0
-
-
-def _cmd_les(args):
-    report = les(_load_bicomplex(args.file))
-    if args.json:
-        _emit_json(report.to_json())
-    else:
-        for line in _render_les(report):
-            print(line)
-    return 0
+    files = _files(args)
+    return _per_file(args, files, files, _validate_worker,
+                     lambda c, msg: {"ok": c == 0, "detail": msg})
 
 
 def _cmd_check(args):
-    if args.ddc3:
-        cond, j = "ddc3", None
-    elif args.ddc:
-        cond, j = "ddc", None
-    elif args.star:
-        cond, j = "star", None
-    else:
-        cond, j = "j", args.j
-    files = args.files or [None]
-    if None in files and len(files) > 1:
-        raise InvalidInput("stdin may appear only as the single input")
-
-    if len(files) == 1 and cond == "ddc3" and args.jobs == 1:
-        report = check_ddc3(_load_bicomplex(files[0]))
-        if args.json:
-            _emit_json(report.to_json())
-        else:
-            for line in _render_ddc3(report):
-                print(line)
-        return 0 if report.holds else 1
-
-    results = _sweep([(f, cond, j) for f in files], _check_worker, args.jobs)
-    code = 0
-    out = []
-    for path, (c, msg) in zip(files, results):
-        code = max(code, c)
-        label = path or "stdin"
-        out.append({"file": label, "verdict": msg})
-        if not args.json:
-            print(f"{label}: {msg}" if len(files) > 1 else msg)
-    if args.json:
-        _emit_json(out if len(files) > 1 else out[0])
-    return code
-
-
-def _cmd_numerics(args):
-    rep = numeric_report(_load_bicomplex(args.file))
-    if args.json:
-        _emit_json(rep.to_json())
-    else:
-        for line in _render_numerics(rep):
-            print(line)
-    return 0
-
-
-def _cmd_purity(args):
-    rep = purity_diagram(_load_bicomplex(args.file))
-    if args.json:
-        _emit_json(rep.to_json())
-    else:
-        for line in _render_purity(rep):
-            print(line)
-    return 0
+    files = _files(args)
+    if args.ddc3 and len(files) == 1:
+        return _report(lambda _: check_ddc3(_load_bicomplex(files[0])),
+                       _render_ddc3, _to_json, args,
+                       lambda report: 0 if report.holds else 1)
+    cond = ("ddc3" if args.ddc3 else "ddc" if args.ddc
+            else "star" if args.star else "j")
+    return _per_file(args, files, [(f, cond, args.j) for f in files],
+                     _check_worker, lambda c, msg: {"verdict": msg})
 
 
 def _parse_prim(text):
@@ -535,121 +519,18 @@ def _parse_prim(text):
     return prim
 
 
-def _cmd_build(args):
-    if args.kind == "vaisman":
-        A = vaisman_model(args.n, _parse_prim(args.prim))
-    else:
-        A = surface_model(args.b1, args.h10, args.h20, args.b2)
-    _write_complex(A, args.out)
-    return 0
-
-
-def _cmd_combine(args):
-    if args.kind == "blowup":
-        A = blowup_model(
-            _load_bicomplex(args.inputs[0]),
-            _load_bicomplex(args.inputs[1]),
-            args.codim,
-        )
-    elif args.kind == "bundle":
-        A = projective_bundle_model(_load_bicomplex(args.inputs[0]), args.rank)
-    else:
-        A = product_model(
-            _load_bicomplex(args.inputs[0]), _load_bicomplex(args.inputs[1]))
-    _write_complex(A, args.out)
-    return 0
-
-
-def _cmd_dual(args):
-    _write_complex(dual(_load_bicomplex(args.file), args.n), args.out)
-    return 0
-
-
-def _cmd_scramble(args):
+def _scrambled(args):
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("ZZ_SEED", "0"))
-    _write_complex(scramble(_load_bicomplex(args.file), seed), args.out)
-    return 0
+    return scramble(_load_bicomplex(args.file), seed)
 
 
-def _cmd_cdga_cohomology(args):
-    P = _load_cdga(args)
-    H = cdga_cohomology(P, args.max_deg)
-    if args.json:
-        _emit_json({"dims": {str(k): v for k, v in H.dims.items()}})
-    else:
-        for k in sorted(H.dims):
-            reps = ", ".join(H.representatives(k))
-            print(f"H^{k} (dim {H.dims[k]}): {reps}")
-    return 0
-
-
-def _cmd_cdga_rank(args):
+def _cdga_rank(args):
     P = _load_cdga(args)
     r = r_jk(P, args.j, args.k)
     d = d_jk(P, args.j, args.k)
-    if args.json:
-        _emit_json({"j": args.j, "k": args.k, "r": r, "d": d,
-                    "slack": r - d})
-    else:
-        print(f"r_{args.j}^{args.k} = {r}")
-        print(f"d_{args.j}^{args.k} = {d}")
-        print(f"slack = {r - d}")
-    return 0
-
-
-def _cmd_cdga_model(args):
-    P = _load_cdga(args)
-    model, psi, stabilized = j_minimal_model(
-        P, args.j, degree_cap=args.degree_cap, stage_cap=args.stage_cap)
-    if args.json:
-        _emit_json({
-            "model": cdga_to_json(model),
-            "map": psi,
-            "stabilized": stabilized,
-        })
-    else:
-        d_text = model.differential_text()
-        for name, deg in model.generators:
-            print(f"{name}  degree {deg}  d -> {d_text.get(name, '0')}  "
-                  f"image {psi[name]}")
-        if not model.generators:
-            print("(trivial model)")
-        print(f"stabilized: {str(stabilized).lower()}")
-    return 0
-
-
-def _cmd_cdga_obstruct(args):
-    rep = obstruction(_load_cdga(args), args.j)
-    if args.json:
-        _emit_json(_obstruction_json(rep))
-    else:
-        for line in _render_obstruction(rep):
-            print(line)
-    return 0
-
-
-def _cmd_cdga_compat(args):
-    P = _load_cdga(args)
-    A = _load_bicomplex(args.complex)
-    rep = compatibility(P, args.j, A)
-    if args.json:
-        _emit_json({
-            "j": rep.j,
-            "cup_hypothesis": rep.cup_hypothesis,
-            "rows": {
-                str(k): {"r": row.r_jk, "d": row.d_jk,
-                         "slack": row.slack, "ell": row.ell}
-                for k, row in rep.rows.items()
-            },
-            "verdict": rep.verdict,
-            "excluded_at": list(rep.excluded_at),
-        })
-    else:
-        for line in _render_compat(rep):
-            print(line)
-    return 0
+    return {"j": args.j, "k": args.k, "r": r, "d": d, "slack": r - d}
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +543,18 @@ def _build_parser():
         description="Exact calculator for bounded double complexes.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+
+    # Verbs bind their library calls here, at parse time, so a name
+    # patched on this module is the one that runs.
+    def report(p, compute, render, encode=_to_json):
+        p.set_defaults(handler=partial(_report, compute, render, encode))
+
+    def writes(p, compute):
+        p.set_defaults(handler=partial(_write, compute))
+
+    def on_file(fn, *names):
+        return lambda args: fn(_load_bicomplex(args.file),
+                               *(getattr(args, n) for n in names))
 
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--json", action="store_true",
@@ -683,30 +576,30 @@ def _build_parser():
 
     p = sub.add_parser("decompose", parents=[fmt, one],
                        help="multiplicity table of indecomposables")
-    p.set_defaults(handler=_cmd_decompose)
+    report(p, on_file(multiplicities), _render_mult_table)
 
     p = sub.add_parser("cohomology", parents=[fmt, one],
                        help="dimension table of one functor")
     p.add_argument("--functor", required=True, choices=sorted(FUNCTORS))
-    p.set_defaults(handler=_cmd_cohomology)
+    report(p, on_file(cohomology, "functor"), _render_cohomology)
 
     p = sub.add_parser("filtration", parents=[fmt, one],
                        help="Hodge filtrations and refined Betti numbers")
-    p.set_defaults(handler=_cmd_filtration)
+    report(p, on_file(hodge_filtration), _render_filtration)
 
     p = sub.add_parser("pages", parents=[fmt, one],
                        help="one page of a spectral sequence")
     p.add_argument("--which", choices=("column", "row"), default="column")
     p.add_argument("--r", type=int, default=1)
-    p.set_defaults(handler=_cmd_pages)
+    report(p, on_file(spectral_page, "which", "r"), _render_page)
 
     p = sub.add_parser("pdef", parents=[fmt, one],
                        help="purity defect per degree and total")
-    p.set_defaults(handler=_cmd_pdef)
+    report(p, on_file(purity_defect), _render_pdef, _pdef_json)
 
     p = sub.add_parser("les", parents=[fmt, one],
                        help="the long exact sequence dimensions and ranks")
-    p.set_defaults(handler=_cmd_les)
+    report(p, on_file(les), _render_les)
 
     p = sub.add_parser("check", parents=[fmt],
                        help="decide a condition; exit 0 holds, 1 fails")
@@ -724,11 +617,11 @@ def _build_parser():
 
     p = sub.add_parser("numerics", parents=[fmt, one],
                        help="the cohomology dimension chain and slacks")
-    p.set_defaults(handler=_cmd_numerics)
+    report(p, on_file(numeric_report), _render_numerics)
 
     p = sub.add_parser("purity", parents=[fmt, one],
                        help="purity obstruction groups and verdict")
-    p.set_defaults(handler=_cmd_purity)
+    report(p, on_file(purity_diagram), _render_purity)
 
     p = sub.add_parser("build", help="synthesize a model complex")
     bsub = p.add_subparsers(dest="kind", required=True)
@@ -737,37 +630,40 @@ def _build_parser():
     b.add_argument("--prim", default="0,0:1",
                    help="primitive dims as 'p,q:dim;p,q:dim' "
                    "(default '0,0:1')")
-    b.set_defaults(handler=_cmd_build)
+    writes(b, lambda a: vaisman_model(a.n, _parse_prim(a.prim)))
     b = bsub.add_parser("surface", parents=[out])
     b.add_argument("--b1", type=int, required=True)
     b.add_argument("--h10", type=int, required=True)
     b.add_argument("--h20", type=int, required=True)
     b.add_argument("--b2", type=int, required=True)
-    b.set_defaults(handler=_cmd_build)
+    writes(b, lambda a: surface_model(a.b1, a.h10, a.h20, a.b2))
 
     p = sub.add_parser("combine", help="combine complexes geometrically")
     csub = p.add_subparsers(dest="kind", required=True)
     c = csub.add_parser("blowup", parents=[out])
     c.add_argument("inputs", nargs=2, metavar=("AMBIENT", "CENTER"))
     c.add_argument("--codim", type=int, required=True)
-    c.set_defaults(handler=_cmd_combine)
+    writes(c, lambda a: blowup_model(_load_bicomplex(a.inputs[0]),
+                                     _load_bicomplex(a.inputs[1]), a.codim))
     c = csub.add_parser("bundle", parents=[out])
     c.add_argument("inputs", nargs=1, metavar="BASE")
     c.add_argument("--rank", type=int, required=True)
-    c.set_defaults(handler=_cmd_combine)
+    writes(c, lambda a: projective_bundle_model(
+        _load_bicomplex(a.inputs[0]), a.rank))
     c = csub.add_parser("product", parents=[out])
     c.add_argument("inputs", nargs=2, metavar=("A", "B"))
-    c.set_defaults(handler=_cmd_combine)
+    writes(c, lambda a: product_model(_load_bicomplex(a.inputs[0]),
+                                      _load_bicomplex(a.inputs[1])))
 
     p = sub.add_parser("dual", parents=[one, out],
                        help="the n-dual complex")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_dual)
+    writes(p, on_file(dual, "n"))
 
     p = sub.add_parser("scramble", parents=[one, out],
                        help="random basis change (seed from ZZ_SEED)")
     p.add_argument("--seed", type=int)
-    p.set_defaults(handler=_cmd_scramble)
+    writes(p, _scrambled)
 
     p = sub.add_parser("cdga", help="cdga presentations and obstructions")
     gsub = p.add_subparsers(dest="op", required=True)
@@ -780,28 +676,35 @@ def _build_parser():
 
     g = gsub.add_parser("cohomology", parents=[fmt, src])
     g.add_argument("--max-deg", type=int, required=True)
-    g.set_defaults(handler=_cmd_cdga_cohomology)
+    report(g, lambda a: cdga_cohomology(_load_cdga(a), a.max_deg),
+           _render_cdga_cohomology,
+           lambda H: {"dims": {str(k): v for k, v in H.dims.items()}})
 
     g = gsub.add_parser("rank", parents=[fmt, src])
     g.add_argument("--j", type=int, required=True)
     g.add_argument("--k", type=int, required=True)
-    g.set_defaults(handler=_cmd_cdga_rank)
+    report(g, _cdga_rank, _render_rank, lambda obj: obj)
 
     g = gsub.add_parser("model", parents=[fmt, src])
     g.add_argument("--j", type=int, required=True)
     g.add_argument("--degree-cap", type=int, default=None)
     g.add_argument("--stage-cap", type=int, default=32)
-    g.set_defaults(handler=_cmd_cdga_model)
+    report(g, lambda a: j_minimal_model(
+        _load_cdga(a), a.j, degree_cap=a.degree_cap, stage_cap=a.stage_cap),
+        _render_model, _model_json)
 
     g = gsub.add_parser("obstruct", parents=[fmt, src])
     g.add_argument("--j", type=int, required=True)
-    g.set_defaults(handler=_cmd_cdga_obstruct)
+    report(g, lambda a: obstruction(_load_cdga(a), a.j),
+           _render_obstruction, _obstruction_json)
 
     g = gsub.add_parser("compat", parents=[fmt, src])
     g.add_argument("--j", type=int, required=True)
     g.add_argument("--complex", required=True,
                    help="candidate bicomplex JSON file")
-    g.set_defaults(handler=_cmd_cdga_compat)
+    report(g, lambda a: compatibility(
+        _load_cdga(a), a.j, _load_bicomplex(a.complex)),
+        _render_compat, _compat_json)
 
     return parser
 
@@ -810,15 +713,10 @@ def run(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except NotStabilized as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
+    except _REFUSALS as exc:
+        code, message = _refusal(exc)
+        print(message, file=sys.stderr)
+        return code
 
 
 def main(argv=None):

@@ -130,14 +130,13 @@ def les(A):
     tc = _tc(A)
     rows = {}
     for k in tc.degrees():
-        n1 = tc.kerd_cap_kerdc(k).dim - tc.d_ker_dc(k).dim
-        n3 = tc.dinv_im_dc(k).dim - tc.imd_plus_imdc(k).dim
+        n1 = tc.h_ker_dc(k)
         joint = subspace_intersect(tc.kerd_cap_kerdc(k), tc.imd_cap_imdc(k))
         rows[k] = LesRow(
             h_ker_dc=n1,
             betti=tc.betti(k),
             h_dc=tc.h_dc(k),
-            h_coim_dc=n3,
+            h_coim_dc=tc.h_coim_dc(k),
             rank_delta=_mod_dim(tc.imd_cap_imdc(k + 1), tc.d_ker_dc(k + 1)),
             rank_incl=n1 - _mod_dim(joint, tc.d_ker_dc(k)),
             rank_proj=subspace_sum(tc.ker_d(k), tc.ker_dc(k)).dim
@@ -472,8 +471,7 @@ def j_controlled(A, j):
     by_maps = True
     if degs:
         for s in range(min(degs), min(j, max(degs)) + 1):
-            n1 = tc.kerd_cap_kerdc(s).dim - tc.d_ker_dc(s).dim
-            if ells.get(s, 0) != 0 or n1 != tc.betti(s):
+            if ells.get(s, 0) != 0 or tc.h_ker_dc(s) != tc.betti(s):
                 by_maps = False
                 break
         if by_maps and min(degs) <= j + 1 <= max(degs):

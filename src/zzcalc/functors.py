@@ -195,6 +195,12 @@ class TotalComplex:
     def h_dc(self, k):
         return self.ker_dc(k).dim - self.im_dc(k).dim
 
+    def h_ker_dc(self, k):
+        return self.kerd_cap_kerdc(k).dim - self.d_ker_dc(k).dim
+
+    def h_coim_dc(self, k):
+        return self.dinv_im_dc(k).dim - self.imd_plus_imdc(k).dim
+
     def filtration(self):
         return self._get(("filtration",), lambda: _compute_filtration(self))
 
@@ -217,7 +223,6 @@ class CohomologyTable:
 
     functor: str
     dims: dict
-    bases: dict = None
 
     def sum_dims(self):
         return sum(self.dims.values())
@@ -262,9 +267,9 @@ def _total_dims(tc, functor):
         if functor == "deRham":
             d = tc.betti(k)
         elif functor == "ker_dc":
-            d = tc.kerd_cap_kerdc(k).dim - tc.d_ker_dc(k).dim
+            d = tc.h_ker_dc(k)
         elif functor == "coim_dc":
-            d = tc.dinv_im_dc(k).dim - tc.imd_plus_imdc(k).dim
+            d = tc.h_coim_dc(k)
         elif functor == "purity_upper":
             d = tc.d_ker_dc(k).dim - tc.im_ddc(k).dim
         else:  # purity_lower

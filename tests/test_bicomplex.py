@@ -340,6 +340,20 @@ class TestJson:
             with pytest.raises(InvalidInput, match=f"total degree {k} has dimension"):
                 from_json({"spaces": spaces})
 
+    def test_degree_cap_guards_the_constructor(self):
+        Bicomplex({(0, 0): 1, (DEGREE_CAP - 1, 0): 1})
+        with pytest.raises(InvalidInput, match="span more than the cap"):
+            Bicomplex({(0, 0): 1, (10**8, 0): 1})
+        with pytest.raises(InvalidInput, match="total degree 0 has dimension"):
+            Bicomplex({(0, 0): DEGREE_CAP, (1, -1): 1})
+
+    def test_degree_cap_guards_the_builders(self):
+        from zzcalc.models import vaisman_model
+
+        vaisman_model(254, {(0, 0): 1})
+        with pytest.raises(InvalidInput, match="span more than the cap"):
+            vaisman_model(255, {(0, 0): 1})
+
     def test_load_validates_the_identities(self):
         obj = {
             "spaces": {"0,0": 1, "1,0": 1, "2,0": 1},

@@ -11,6 +11,7 @@ six-dimensional ex_k2_M example has H^1 = <e1, e2> with all products
 of degree-one classes exact, and b_2 = 2 gives slack two at k = 4.
 """
 
+import itertools
 import json
 
 import pytest
@@ -30,6 +31,7 @@ from zzcalc.cdga import (
     parse_poly,
     preset,
     r_jk,
+    _Engine,
     _identity_map,
     _tower_stage,
 )
@@ -74,6 +76,23 @@ class TestPresentation:
     def test_d_squared_nonzero_rejected(self):
         with pytest.raises(InvalidInput):
             CdgaPresentation([("x", 1), ("y", 2)], {"x": "y", "y": "x*y"}, 4)
+
+    @pytest.mark.parametrize("degrees", [
+        (2, 1, 3, 2, 1, 3, 1),
+        (1, 3, 1, 3, 1),
+    ], ids=["mixed", "odd"])
+    def test_basis_matches_brute_force(self, degrees):
+        P = CdgaPresentation(
+            [(f"g{i}", d) for i, d in enumerate(degrees)], {}, 4)
+        eng = _Engine(P)
+        # odd generators square to zero; an even one may repeat
+        ranges = [range(2) if d % 2 else range(10 // d + 1) for d in degrees]
+        for k in range(11):
+            expected = sorted(
+                sum(((i,) * e for i, e in enumerate(exps)), ())
+                for exps in itertools.product(*ranges)
+                if sum(e * d for e, d in zip(exps, degrees)) == k)
+            assert eng.basis(k) == expected
 
     def test_negative_formal_dimension_rejected(self):
         with pytest.raises(InvalidInput):

@@ -204,6 +204,15 @@ class TestCheck:
         assert code == 0
         assert [row["verdict"] for row in obj] == ["holds", "holds"]
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_jobs_never_change_single_file_output(self, capsys, hopf_path,
+                                                  fmt):
+        argv = ["check", "--ddc3", hopf_path] + fmt
+        plain = run_lines(capsys, argv)
+        fanned = run_lines(capsys, argv + ["--jobs", "2"])
+        assert fanned == plain
+        assert plain[0] == 0 and len(plain[1]) == (1 if fmt else 8)
+
     @pytest.mark.parametrize("cpus, expected", [(64, 3), (2, 2), (1, None)])
     def test_jobs_clamped(self, capsys, monkeypatch, hopf_path, cpus,
                           expected):
@@ -330,6 +339,12 @@ class TestBuildCombine:
         out = capsys.readouterr().out.strip()
         assert code == 0
         assert out == dumps(vaisman_model(1, {(0, 0): 1}))
+
+    def test_build_vaisman_beyond_degree_cap_exit_two(self, capsys):
+        code, lines, err = run_lines(capsys, ["build", "vaisman", "--n", "300"])
+        assert code == 2
+        assert lines == []
+        assert err.startswith("error: total degrees 0..602 span more")
 
     def test_build_vaisman_prim_flag(self, capsys):
         code = cli.run([
