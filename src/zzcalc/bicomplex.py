@@ -822,8 +822,10 @@ def _parse_pq(key):
         raise InvalidInput(f"bad bidegree key {key!r}; expected 'p,q'") from exc
 
 
-def _pq_key(pq):
-    return f"{pq[0]},{pq[1]}"
+def _pq_key(key):
+    """A JSON object key as text: a tuple such as (p, q) or (p, q, k) as
+    "p,q" or "p,q,k", anything else as its str."""
+    return ",".join(map(str, key)) if isinstance(key, tuple) else str(key)
 
 
 def to_json(A):

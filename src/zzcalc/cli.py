@@ -522,7 +522,11 @@ def _parse_prim(text):
 def _scrambled(args):
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("ZZ_SEED", "0"))
+        text = os.environ.get("ZZ_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise InvalidInput(f"ZZ_SEED must be an integer, not {text!r}")
     return scramble(_load_bicomplex(args.file), seed)
 
 

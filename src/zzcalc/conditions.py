@@ -24,6 +24,9 @@ The ddc and ddc+3 verdicts are decided by several routes that theorems
 declare equivalent; the routes are always all evaluated and compared.
 A disagreement raises CharacterizationMismatch and means a bug in this
 library, never a property of the input.
+
+Each report is a dataclass written to JSON by the one report encoder in
+`functors`; Ddc3Report adds its `holds` verdict.
 """
 
 from dataclasses import dataclass
@@ -33,6 +36,7 @@ from .bicomplex import shape_degree_span, shape_to_json
 from .decomposition import multiplicities
 from .errors import CharacterizationMismatch, Inconsistent, InvalidInput
 from .functors import (
+    _encode,
     _tc,
     cohomology,
     purity_defect,
@@ -73,19 +77,7 @@ class LesRow:
     rank_incl: int
     rank_proj: int
 
-    def is_zero(self):
-        return not any(vars(self).values())
-
-    def to_json(self):
-        return {
-            "h_ker_dc": self.h_ker_dc,
-            "betti": self.betti,
-            "h_dc": self.h_dc,
-            "h_coim_dc": self.h_coim_dc,
-            "rank_delta": self.rank_delta,
-            "rank_incl": self.rank_incl,
-            "rank_proj": self.rank_proj,
-        }
+    to_json = _encode
 
 
 @dataclass
@@ -93,17 +85,13 @@ class LesReport:
     rows: dict
     exact: bool
 
+    to_json = _encode
+
     def degrees(self):
         return sorted(self.rows)
 
     def delta_ranks(self):
         return {k: r.rank_delta for k, r in self.rows.items() if r.rank_delta}
-
-    def to_json(self):
-        return {
-            "rows": {str(k): self.rows[k].to_json() for k in self.degrees()},
-            "exact": self.exact,
-        }
 
 
 def _kd_cap_imd(tc, k):
@@ -194,19 +182,7 @@ class Ddc3Report:
         return self.c1
 
     def to_json(self):
-        return {
-            "holds": self.holds,
-            "c1": self.c1,
-            "c2": self.c2,
-            "c3": self.c3,
-            "c4": self.c4,
-            "c5": self.c5,
-            "c6": self.c6,
-            "agree": self.agree,
-            "witness": self.witness,
-            "pdef": self.pdef,
-            "e1_degenerate": self.e1_degenerate,
-        }
+        return {"holds": self.holds, **_encode(self)}
 
 
 def _e1_degenerate_both(tc):
@@ -295,18 +271,7 @@ class NumericReport:
     slacks: tuple
     equalities: tuple
 
-    def to_json(self):
-        return {
-            "h_bc": self.h_bc,
-            "h_a": self.h_a,
-            "h_ker_dc": self.h_ker_dc,
-            "h_coim_dc": self.h_coim_dc,
-            "h_dolbeault": self.h_dolbeault,
-            "h_conj_dolbeault": self.h_conj_dolbeault,
-            "sum_betti": self.sum_betti,
-            "slacks": list(self.slacks),
-            "equalities": list(self.equalities),
-        }
+    to_json = _encode
 
 
 def numeric_report(A):
@@ -373,15 +338,7 @@ class PurityReport:
     psi_ranks: dict
     pure: bool
 
-    def to_json(self):
-        enc = lambda d: {str(k): v for k, v in sorted(d.items())}
-        return {
-            "upper": enc(self.upper),
-            "lower": enc(self.lower),
-            "phi_ranks": enc(self.phi_ranks),
-            "psi_ranks": enc(self.psi_ranks),
-            "pure": self.pure,
-        }
+    to_json = _encode
 
 
 def _by_total_degree(dims):

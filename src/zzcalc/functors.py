@@ -22,7 +22,8 @@ Bigraded functors at (p,q):
 
 Here dc = i(delbar - del), so d dc = 2i del delbar and the total-degree
 descriptions of Bott-Chern and Aeppli used elsewhere agree with the
-bigraded ones.
+bigraded ones.  Each bigraded dimension is dim A^{p,q} less the rank of
+the maps out (stacked) and of the maps in (side by side).
 
 The filtrations F^p (blocks with p >= level) and Fbar^q (q >= level)
 are coordinate index lists, and Ker d ∩ F^p is the kernel of d on the
@@ -38,14 +39,19 @@ The Hodge filtrations are intersected and summed in H^k coordinates:
 one linear map on degree-k cocycles, with kernel exactly Im d, carries
 each Ker d ∩ F^p and Ker d ∩ Fbar^q to a subspace of Q(i)^{b_k}, and
 every lattice operation runs there.
+
+Every report (here and in `conditions`) is a dataclass whose to_json is
+one encoder: its fields by name, dict keys written as "k", "p,q" or
+"p,q,k" by the key function of the bicomplex JSON, tuples as lists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from .bicomplex import (
     Bicomplex,
+    _pq_key,
     dc as _dc_matrix,
     degree_blocks,
     total_d,
@@ -209,6 +215,19 @@ def _tc(A):
     return A if isinstance(A, TotalComplex) else TotalComplex(A)
 
 
+def _encode(x):
+    """The JSON form of a report: a dataclass as its fields by name, a
+    dict with its keys as text ("k", "p,q" or "p,q,k"), a tuple as a
+    list, and each part alike.  Every report's to_json is this."""
+    if is_dataclass(x):
+        return {f.name: _encode(getattr(x, f.name)) for f in fields(x)}
+    if isinstance(x, dict):
+        return {_pq_key(key): _encode(v) for key, v in x.items()}
+    if isinstance(x, (tuple, list)):
+        return [_encode(v) for v in x]
+    return x
+
+
 # ---------------------------------------------------------------------------
 # Cohomology tables
 
@@ -224,38 +243,32 @@ class CohomologyTable:
     functor: str
     dims: dict
 
+    to_json = _encode
+
     def sum_dims(self):
         return sum(self.dims.values())
 
-    def __eq__(self, other):
-        if not isinstance(other, CohomologyTable):
-            return NotImplemented
-        return self.functor == other.functor and self.dims == other.dims
-
-    def to_json(self):
-        dims = {}
-        for key in sorted(self.dims):
-            name = f"{key[0]},{key[1]}" if isinstance(key, tuple) else str(key)
-            dims[name] = self.dims[key]
-        return {"functor": self.functor, "dims": dims}
-
 
 def _bigraded_dims(A, functor):
+    """dim A^{p,q}, less the rank of the maps out stacked (Ker del ∩
+    Ker delbar is the kernel of del over delbar) and of the maps in side
+    by side (Im del + Im delbar is the image of [del | delbar])."""
     dims = {}
-    for (p, q) in A.support():
+    for (p, q), n in sorted(A.spaces.items()):
         if functor == "dolbeault":
-            ker = kernel_basis(A.delbar_at(p, q))
-            im = image_basis(A.delbar_at(p, q - 1))
+            out, into = [A.delbar_at(p, q)], [A.delbar_at(p, q - 1)]
         elif functor == "conj_dolbeault":
-            ker = kernel_basis(A.del_at(p, q))
-            im = image_basis(A.del_at(p - 1, q))
+            out, into = [A.del_at(p, q)], [A.del_at(p - 1, q)]
         elif functor == "bott_chern":
-            ker = subspace_intersect(kernel_basis(A.del_at(p, q)), kernel_basis(A.delbar_at(p, q)))
-            im = image_basis(A.del_at(p - 1, q) * A.delbar_at(p - 1, q - 1))
+            out = [A.del_at(p, q), A.delbar_at(p, q)]
+            into = [A.del_at(p - 1, q) * A.delbar_at(p - 1, q - 1)]
         else:  # aeppli
-            ker = kernel_basis(A.del_at(p, q + 1) * A.delbar_at(p, q))
-            im = subspace_sum(image_basis(A.del_at(p - 1, q)), image_basis(A.delbar_at(p, q - 1)))
-        d = ker.dim - im.dim
+            out = [A.del_at(p, q + 1) * A.delbar_at(p, q)]
+            into = [A.del_at(p - 1, q), A.delbar_at(p, q - 1)]
+        # a rank ignores the scale of each row, so each block keeps its
+        # own denominator
+        d = (n - len(_echelon([r for M in out for r in M.sparse]))
+             - len(_echelon([c for M in into for c in M._columns()])))
         if d:
             dims[(p, q)] = d
     return dims
@@ -317,8 +330,7 @@ class FiltrationTable:
     Ftot: dict = field(default_factory=dict)
     refined: dict = field(default_factory=dict)
 
-    def refined_at(self, p, q, k):
-        return self.refined.get((p, q, k), 0)
+    to_json = _encode
 
     def graded_total(self, k):
         """dim gr^r_{Ftot} H^k for each r, nonzero entries only."""
@@ -330,34 +342,18 @@ class FiltrationTable:
                 out[r] = g
         return out
 
-    def to_json(self):
-        def enc(d):
-            return {",".join(map(str, key)): val for key, val in sorted(d.items())}
-
-        return {
-            "F": enc(self.F),
-            "Fbar": enc(self.Fbar),
-            "FcapFbar": enc(self.FcapFbar),
-            "Ftot": enc(self.Ftot),
-            "refined": enc(self.refined),
-        }
-
 
 def _kerd_F(tc, k, axis, level):
     """Ker d ∩ F^level in degree k (Fbar^level along axis 1): the kernel
     of d on the coordinates of level >= level, embedded back."""
-
-    def build():
-        cols = [i for pq, off, dim in tc.blocks(k) if pq[axis] >= level
-                for i in range(off, off + dim)]
-        at = {j: t for t, j in enumerate(cols)}
-        sub = [{at[j]: v for j, v in row.items() if j in at} for row in tc.d(k).sparse]
-        # an increasing embedding of coordinates keeps the rows canonical
-        return _subspace(tc.dim(k), [
-            {cols[t]: v for t, v in r.items()} for r in _kernel_rows(sub, len(cols))
-        ])
-
-    return tc._get(("kerd_F", k, axis, level), build)
+    cols = [i for pq, off, dim in tc.blocks(k) if pq[axis] >= level
+            for i in range(off, off + dim)]
+    at = {j: t for t, j in enumerate(cols)}
+    sub = [{at[j]: v for j, v in row.items() if j in at} for row in tc.d(k).sparse]
+    # an increasing embedding of coordinates keeps the rows canonical
+    return _subspace(tc.dim(k), [
+        {cols[t]: v for t, v in r.items()} for r in _kernel_rows(sub, len(cols))
+    ])
 
 
 def _h_map(tc, k):
@@ -470,18 +466,10 @@ class SpectralPage:
     dims: dict
     d_ranks: dict
 
+    to_json = _encode
+
     def sum_dims(self):
         return sum(self.dims.values())
-
-    def to_json(self):
-        return {
-            "which": self.which,
-            "r": self.r,
-            "dims": {f"{p},{q}": v for (p, q), v in sorted(self.dims.items())},
-            "d_ranks": {
-                f"{p},{q}": v for (p, q), v in sorted(self.d_ranks.items())
-            },
-        }
 
 
 def _rising(tc, k, axis):

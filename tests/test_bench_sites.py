@@ -1,0 +1,45 @@
+"""The benchmark's traced pass rebinds names inside zzcalc modules: each
+`(module, name)` of `bench/tracing.py`'s SITES.  Every one of them must
+be bound on a fresh import of zzcalc, or the traced pass fails; this
+checks that without running the benchmark.  The import happens in a
+child process, so the test session's own zzcalc modules stay as they
+are."""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+RESOLVE = """
+import importlib, importlib.util, json, sys
+
+spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+missing = []
+for where, attr, span in tracing.SITES:
+    module, _, cls = where.partition(".")
+    owner = importlib.import_module("zzcalc." + module)
+    if cls:
+        owner = getattr(owner, cls, None)
+    # a class attribute must be the class's own, as the tracer reads it
+    bound = attr in vars(owner) if isinstance(owner, type) else hasattr(owner, attr)
+    if not bound or not callable(getattr(owner, attr)):
+        missing.append([where, attr, span])
+print(json.dumps({"sites": len(tracing.SITES), "missing": missing}))
+"""
+
+
+def test_every_tracing_site_resolves():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", RESOLVE, str(ROOT / "bench" / "tracing.py")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["sites"] > 0
+    assert result["missing"] == []

@@ -297,6 +297,20 @@ class TestMinimalModel:
         assert r_jk(P, 1, 2) == 0
         assert r_jk(P, 1, 0) == 1
 
+    def test_tower_kills_a_class_with_a_differential(self):
+        # x^2 is a nonzero class of the free model on x alone, but
+        # exact in P; the second stage adds v2 with d v2 = v1^2.  The
+        # contractible pair s, t contributes nothing.
+        P = CdgaPresentation([("x", 2), ("y", 3), ("s", 2), ("t", 3)],
+                             {"y": "x^2", "s": "t"}, 2)
+        model, psi, stabilized = j_minimal_model(P, 3)
+        assert stabilized
+        assert model.generators == (("v1", 2), ("v2", 3))
+        assert format_poly(model.differential["v2"], model.names) == "v1^2"
+        assert "v1" not in model.differential
+        assert psi == {"v1": "x", "v2": "y"}
+        assert [r_jk(P, 3, k) for k in range(7)] == [1, 0, 1, 0, 0, 0, 0]
+
     def test_contractible_model_is_trivial(self):
         P = CdgaPresentation([("x", 1), ("y", 2)], {"x": "y"}, 2)
         model, _, stabilized = j_minimal_model(P, 1)

@@ -425,6 +425,16 @@ class TestBuildCombine:
         assert code == 0
         assert out == dumps(scramble(hopf, 13))
 
+    def test_scramble_bad_env_seed_exit_two(self, capsys, monkeypatch,
+                                            hopf_path):
+        monkeypatch.setenv("ZZ_SEED", "abc")
+        code = cli.run(["scramble", hopf_path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "ZZ_SEED" in captured.err
+
 
 class TestCdgaVerbs:
     def test_obstruct_filiform_example(self, capsys):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zzcalc.bicomplex import (
+    Bicomplex,
     direct_sum,
     dual,
     make_dot,
@@ -17,6 +18,7 @@ from zzcalc.bicomplex import (
 )
 from zzcalc.errors import InvalidInput
 from zzcalc.functors import (
+    BIGRADED_FUNCTORS,
     FUNCTORS,
     TotalComplex,
     betti,
@@ -28,7 +30,22 @@ from zzcalc.functors import (
     star_condition,
 )
 
+from zzcalc.linalg import (
+    Scalar,
+    image_basis,
+    kernel_basis,
+    subspace_intersect,
+    subspace_sum,
+)
+
 from test_bicomplex import shapes_strategy, small_complexes
+from test_filtration_oracle import scrambled_sums
+
+# two length-2 zigzags into one bidegree: Im del and Im delbar there are
+# distinct lines, so only [del | delbar] side by side has rank 2
+BIGRADED_SUMS = scrambled_sums(8, seed=20261020) + [scramble(direct_sum(
+    make_zigzag(zigzag_shape((0, 1), 2, "horizontal")),
+    make_zigzag(zigzag_shape((1, 0), 2, "vertical"))), 3)]
 
 
 OUT_L = zigzag_shape((0, 0), 3, "vertical")
@@ -279,3 +296,46 @@ def test_check_ddc3_caches_one_pairing_per_axis():
     check_ddc3(tc)
     assert sorted(key for key in tc._cache if key[0] == "pairs") == [("pairs", 0), ("pairs", 1)]
     assert not [key for key in tc._cache if key[0] in ("Z", "pageB")]
+
+
+# ---------------------------------------------------------------------------
+# Bigraded dimensions against the subspace route they replaced
+
+
+def old_bigraded_dims(A, functor):
+    """The replaced route, verbatim: kernel and image subspaces, with a
+    Zassenhaus intersection for Bott-Chern and a sum for Aeppli."""
+    dims = {}
+    for (p, q) in A.support():
+        if functor == "dolbeault":
+            ker = kernel_basis(A.delbar_at(p, q))
+            im = image_basis(A.delbar_at(p, q - 1))
+        elif functor == "conj_dolbeault":
+            ker = kernel_basis(A.del_at(p, q))
+            im = image_basis(A.del_at(p - 1, q))
+        elif functor == "bott_chern":
+            ker = subspace_intersect(kernel_basis(A.del_at(p, q)), kernel_basis(A.delbar_at(p, q)))
+            im = image_basis(A.del_at(p - 1, q) * A.delbar_at(p - 1, q - 1))
+        else:  # aeppli
+            ker = kernel_basis(A.del_at(p, q + 1) * A.delbar_at(p, q))
+            im = subspace_sum(image_basis(A.del_at(p - 1, q)), image_basis(A.delbar_at(p, q - 1)))
+        d = ker.dim - im.dim
+        if d:
+            dims[(p, q)] = d
+    return dims
+
+
+def gaussian(A):
+    """A with del times 1 + 2i: still a bicomplex, with Gaussian del
+    beside real delbar, so both kinds of row meet in one rank."""
+    return Bicomplex(A.spaces, {pq: m * Scalar(1, 2) for pq, m in A.del_maps.items()},
+                     A.delbar_maps)
+
+
+@pytest.mark.parametrize("i", range(len(BIGRADED_SUMS)))
+def test_bigraded_dims_against_subspace_route(i):
+    for A in (BIGRADED_SUMS[i], gaussian(BIGRADED_SUMS[i])):
+        for functor in BIGRADED_FUNCTORS:
+            dims = cohomology(A, functor).dims
+            assert dims == old_bigraded_dims(A, functor), functor
+            assert list(dims) == sorted(dims)
