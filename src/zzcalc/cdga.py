@@ -6,10 +6,10 @@ a degree +1 derivation.  Monomials are tuples of generator indices in
 ascending order; reordering picks up a Koszul sign, and a repeated odd
 index kills the term.  Polynomials, representatives, coordinates and
 primitives are exact Fractions at the API, but every elimination is one
-_Echelon of sparse {column: int} rows whose pivots can carry witnesses,
-reduced fraction-free (Bareiss's step, linalg._sub): d is scaled once
-to integers, a rational row is cleared of denominators on the way in,
-and a result is divided by its integer scale once on the way out.
+linalg._Echelon, the package's witness-carrying echelon, on sparse
+{column: int} rows: d is scaled once to integers, a rational row is
+cleared of denominators on the way in, and a result is divided by its
+integer scale once on the way out.
 
 The obstruction pipeline is one fixed recipe.  For a presentation P of
 formal dimension 2n and a level j:
@@ -38,7 +38,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import inf, lcm
 
 from .conditions import ell
 from .errors import (
@@ -49,7 +49,7 @@ from .errors import (
     NotStabilized,
     UnknownPreset,
 )
-from .linalg import _sub
+from .linalg import _Echelon, _kernel
 
 __all__ = [
     "CdgaPresentation",
@@ -386,82 +386,6 @@ def cdga_from_json(obj):
     return CdgaPresentation(gens, d, obj.get("dim", 0))
 
 
-# ---------------------------------------------------------------------------
-# Sparse elimination on integer dict rows {column: int}.
-
-
-class _Echelon:
-    """Row space in (non-reduced) echelon form over Z, with witnesses.
-
-    pivots maps each lead column c to an int row with a positive lead;
-    wits may hold its witness, an int row at the same scale, the pair
-    primitive together.  Both divided by pivots[c][c] give the rational
-    lead-1 pivot and witness.  reduce(row, wit) clears pivot columns,
-    lowest first, by linalg's fraction-free step and applies each step
-    to wit too (a pivot without a witness has witness zero).  The pivot
-    rows given to the constructor are shared, not copied.
-    """
-
-    __slots__ = ("pivots", "wits")
-
-    def __init__(self, pivots=()):
-        self.pivots = dict(pivots)
-        self.wits = {}
-
-    def reduce(self, row, wit=None):
-        """The remainder of row; wit is updated in place."""
-        z, w = row, wit
-        while z:
-            c = min(z)
-            p = self.pivots.get(c)
-            if p is None:
-                break
-            if w is None:
-                z = _sub(z, p, c)
-            else:
-                z, w = _sub(z, p, c, w, self.wits.get(c))
-        if w is not wit:
-            wit.clear()
-            wit.update(w)
-        return z
-
-    def insert(self, row, wit=None):
-        """Lead column of the new pivot, or None when row reduces to 0."""
-        z = self.reduce(row, wit)
-        if not z:
-            return None
-        lead = min(z)
-        g = gcd(*z.values(), *(wit or {}).values())
-        if z[lead] < 0:
-            g = -g
-        if g != 1:
-            z = {c: v // g for c, v in z.items()}
-            wit = wit and {c: v // g for c, v in wit.items()}
-        self.pivots[lead] = z
-        if wit is not None:
-            self.wits[lead] = wit
-        return lead
-
-    @property
-    def rank(self):
-        return len(self.pivots)
-
-
-def _kernel(rows, ech=None):
-    """Int relations w, sum of w[i] * rows[i] zero, one per row that
-    reduces to zero; the largest index is the row's own, and w divided
-    by its coefficient is the rational relation.  The other rows become
-    pivots of ech, the i-th witnessed by {i: 1} as reduced."""
-    if ech is None:
-        ech = _Echelon()
-    out = []
-    for i, row in enumerate(rows):
-        wit = {i: 1}
-        if ech.insert(row, wit) is None:
-            out.append(wit)
-    return out
-
-
 def _ints(row):
     """(den * row on ints, den), den the lcm of the row's denominators."""
     den = lcm(*(v.denominator for v in row.values()))
@@ -497,10 +421,11 @@ class _CohData:
 
 class _Engine:
     """Per-presentation caches: bases, differentials (int rows of L d, L
-    the lcm of d's denominators), cohomology."""
+    the lcm of d's denominators), cohomology, the top degree."""
 
     def __init__(self, P):
         self.degrees = P.degrees
+        self.top = sum(P.degrees) if all(d % 2 for d in P.degrees) else inf  # odd squares vanish
         self.dpolys = [P.differential.get(n) for n in P.names]
         self.L = lcm(*(c.denominator for p in P.differential.values() for c in p.values()))
         self._dints = [p and {m: c.numerator * (self.L // c.denominator)
@@ -624,7 +549,7 @@ class _Engine:
     def subalgebra_span(self, j, up_to):
         """Echelon spans of <H^{<=j}> per degree, in H coordinates."""
         spans = self._spans.setdefault(j, {0: None})
-        for m in range(1, up_to + 1):
+        for m in range(1, min(up_to, self.top) + 1):
             if m in spans:
                 continue
             ech = _Echelon()
@@ -678,7 +603,7 @@ class CohomologyRing:
         eng = _engine(P)
         self._eng = eng
         self.dims = {}
-        for k in range(max_deg + 1):
+        for k in range(min(max_deg, eng.top) + 1):
             b = eng.betti(k)
             if b:
                 self.dims[k] = b
@@ -722,7 +647,7 @@ def d_jk(P, j, k):
     if j < 0 or k < 0:
         raise InvalidInput("j and k must be naturals")
     eng = _engine(P)
-    if k <= j:
+    if k <= j or k > eng.top:  # b_k, 0 above the top degree
         return eng.betti(k)
     spans = eng.subalgebra_span(j, k)
     return spans[k].rank
@@ -1005,7 +930,7 @@ def obstruction(P, j):
         raise InvalidInput(
             f"formal dimension must be even and >= 2, got {n2}")
     eng = _engine(P)
-    for k in range(n2 + 1):  # PIECE_CAP refuses an oversized piece up front
+    for k in range(min(n2, eng.top) + 1):  # PIECE_CAP refuses an oversized piece up front
         eng.basis(k)
     _check_poincare_duality(P)
     cup_ok = d_jk(P, j, j + 1) == 0

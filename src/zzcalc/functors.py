@@ -26,19 +26,19 @@ bigraded ones.  Each bigraded dimension is dim A^{p,q} less the rank of
 the maps out (stacked) and of the maps in (side by side).
 
 The filtrations F^p (blocks with p >= level) and Fbar^q (q >= level)
-are coordinate index lists, and Ker d ∩ F^p is the kernel of d on the
-columns of level >= p.  Both spectral sequences come from one
-persistence pairing of d per axis (p for the column sequence, q for the
-row sequence, on the same total complex): the columns of d, fed by
-falling level into one elimination over the next degree's coordinates
-by rising level, each end with a lead, the lowest level their reduced
-image reaches.  A column of level a with lead at level t pairs two
+are coordinate index lists.  Both spectral sequences and both Hodge
+filtrations come from one persistence pairing of d per axis (p for the
+column sequence, q for the row sequence, on the same total complex):
+the columns of d, fed by falling level into one witness-carrying
+elimination over the next degree's coordinates by rising level, each
+end with a lead, the lowest level their reduced image reaches, or
+reduce to 0.  A column of level a with lead at level t pairs two
 coordinates and counts one rank of d_{t-a}; page r at a position is
 its dimension less the pairs of jump below r that start or end there.
-The Hodge filtrations are intersected and summed in H^k coordinates:
-one linear map on degree-k cocycles, with kernel exactly Im d, carries
-each Ker d ∩ F^p and Ker d ∩ Fbar^q to a subspace of Q(i)^{b_k}, and
-every lattice operation runs there.
+A column of level a that reduces to 0 leaves a cycle of level >= a,
+its witness; those of level >= p span Ker d ∩ F^p modulo Im d.  One
+linear map on degree-k cocycles, with kernel exactly Im d, carries them
+to Q(i)^{b_k}, where every Hodge filtration intersection and sum runs.
 
 Every report (here and in `conditions`) is a dataclass whose to_json is
 one encoder: its fields by name, dict keys written as "k", "p,q" or
@@ -59,11 +59,13 @@ from .bicomplex import (
 )
 from .errors import Inconsistent, InvalidInput
 from .linalg import (
+    _Echelon,
+    _as_pairs,
     _echelon,
-    _kernel_rows,
+    _is_pairs,
     _reduce,
     _span,
-    _subspace,
+    _tidy,
     apply_matrix,
     image_basis,
     kernel_basis,
@@ -343,19 +345,6 @@ class FiltrationTable:
         return out
 
 
-def _kerd_F(tc, k, axis, level):
-    """Ker d ∩ F^level in degree k (Fbar^level along axis 1): the kernel
-    of d on the coordinates of level >= level, embedded back."""
-    cols = [i for pq, off, dim in tc.blocks(k) if pq[axis] >= level
-            for i in range(off, off + dim)]
-    at = {j: t for t, j in enumerate(cols)}
-    sub = [{at[j]: v for j, v in row.items() if j in at} for row in tc.d(k).sparse]
-    # an increasing embedding of coordinates keeps the rows canonical
-    return _subspace(tc.dim(k), [
-        {cols[t]: v for t, v in r.items()} for r in _kernel_rows(sub, len(cols))
-    ])
-
-
 def _h_map(tc, k):
     """h_k: degree-k cocycles to Q(i)^{b_k}, with kernel exactly Im d,
     on sparse integer rows.
@@ -412,11 +401,18 @@ def _compute_filtration(tc):
         qs = sorted({pq[1] for pq, _, _ in blocks})
         h = _h_map(tc, k)
 
-        def coords(axis, level):
-            return _span(bk, [h(v) for v in _kerd_F(tc, k, axis, level).rows])
+        def coords(axis, levels):
+            hz = [(a, h(z)) for a, z in _pairs(tc, axis)[1].get(k, ())]
+            out = {}
+            for level in levels:
+                rows = [v for a, v in hz if a >= level]
+                if (S := _span(bk, rows)).dim != len(rows):
+                    raise Inconsistent(f"cycles of level >= {level} are dependent in H^{k}")
+                out[level] = S
+            return out
 
-        V = {p: coords(0, p) for p in range(ps[0], ps[-1] + 2)}
-        W = {q: coords(1, q) for q in range(qs[0], qs[-1] + 2)}
+        V = coords(0, range(ps[0], ps[-1] + 2))
+        W = coords(1, range(qs[0], qs[-1] + 2))
         table.F.update({(p, k): V[p].dim for p in V})
         table.Fbar.update({(q, k): W[q].dim for q in W})
         VW = {(p, q): subspace_intersect(V[p], W[q]) for p in V for q in W}
@@ -480,35 +476,45 @@ def _rising(tc, k, axis):
 
 def _pairs(tc, axis):
     """The persistence pairing of d along one axis, as counts
-    {(a, b, jump): n}: n pairs from position (a, b) to level a + jump.
+    {(a, b, jump): n}: n pairs from position (a, b) to level a + jump,
+    and its essential cycles {k: [(a, z), ...]}.
 
     In degree k the columns of d go by falling level through one
-    elimination over the degree-(k+1) coordinates by rising level; a
-    column of level a whose lead after reduction has level t pairs the
-    two with jump t - a.  A lead's own column in degree k+1 is skipped
-    (Chen and Kerber's clearing): as d of the reduced column is 0, it
-    lies in the span of the columns fed before it.
-    """
+    _Echelon over the degree-(k+1) coordinates by rising level, column j
+    witnessed by {j: 1}; a column of level a whose lead after reduction
+    has level t pairs the two with jump t - a.  A lead's own column in
+    degree k+1 is skipped (Chen and Kerber's clearing): d of it lies in
+    the span of the columns fed before it, and its cycle is a boundary.
+    So the witnesses z of the columns that reduce to 0 are the essential
+    cycles, and those of level >= a span Ker d ∩ F^a modulo Im d.  A not
+    real column puts the batch on pair rows (a unit would change z)."""
 
     def build():
-        pairs = {}
+        pairs, cycles = {}, {}
         cleared = set()
         up = _rising(tc, tc.min_deg, axis)
         for k in tc.degrees():
             src, up = up, _rising(tc, k + 1, axis)
             at = {i: t for t, (i, _) in enumerate(up)}
             cols = tc.d(k)._columns()
-            live = [(j, a) for j, a in reversed(src) if j not in cleared]
-            leads = []
-            _echelon([{at[i]: v for i, v in cols[j].items()} for j, _ in live], leads)
+            live = [(j, a, {at[i]: v for i, v in cols[j].items()})
+                    for j, a in reversed(src) if j not in cleared]
+            gaussian = any(_is_pairs(col) for _, _, col in live)
+            ech = _Echelon()
             cleared = set()
-            for (_, a), c in zip(live, leads):
-                if c is not None:
-                    i, t = up[c]
-                    cleared.add(i)
-                    key = (a, k - a, t - a)
-                    pairs[key] = pairs.get(key, 0) + 1
-        return pairs
+            for j, a, col in live:
+                wit = {j: (1, 0) if gaussian else 1}
+                z = ech.reduce(_as_pairs(col) if gaussian else col, wit)
+                if not z:
+                    cycles.setdefault(k, []).append((a, _tidy(wit)))
+                    continue
+                c = min(z)
+                ech.pivots[c], ech.wits[c] = z, wit
+                i, t = up[c]
+                cleared.add(i)
+                key = (a, k - a, t - a)
+                pairs[key] = pairs.get(key, 0) + 1
+        return pairs, cycles
 
     return tc._get(("pairs", axis), build)
 
@@ -522,7 +528,7 @@ def _page(tc, axis, r):
     """
     dims = {(pq[axis], pq[1 - axis]): n for pq, n in tc.A.spaces.items()}
     ranks = {}
-    for (a, b, jump), n in _pairs(tc, axis).items():
+    for (a, b, jump), n in _pairs(tc, axis)[0].items():
         if jump < r:
             dims[(a, b)] -= n
             dims[(a + jump, b - jump + 1)] -= n

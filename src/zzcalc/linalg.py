@@ -15,12 +15,14 @@ whose first entry is the pivot and equals that denominator.  Reduced
 echelon form is unique per row space, so equal subspaces hold equal
 rows however they were built.
 
-Rows are reduced fraction-free (cross-multiplication in the manner of
-Bareiss, with a gcd pull-out after every row operation to bound
-growth), inserted one at a time into a reduced echelon keyed by pivot
-column.  A purely imaginary row is multiplied by -i first (a unit, so
-row space and kernel are untouched); a batch with no genuinely complex
-row runs on plain ints, any other on Gaussian integer pairs.
+Every elimination in the package is one _Echelon keyed by pivot column:
+rows are reduced fraction-free (cross-multiplication in the manner of
+Bareiss, with a gcd pull-out after every row operation to bound growth),
+each step also acting on a row's witness when it carries one.  A
+canonical echelon then back-substitutes once, from the last pivot; it
+multiplies a purely imaginary row by -i first (a unit, so row space and
+kernel are untouched), and a batch with no genuinely complex row runs on
+plain ints, any other on Gaussian integer pairs.
 
 Scalar and Fraction objects appear only at the edges: the Matrix and
 Subspace constructors, parse_scalar, Matrix.from_json/to_json, and the
@@ -353,7 +355,7 @@ def _transpose(rows, ncols):
 
 
 # ---------------------------------------------------------------------------
-# Fraction-free elimination into a reduced echelon.
+# Fraction-free elimination: one echelon, with witnesses.
 
 
 def _combine(a, r, b, s):
@@ -369,11 +371,13 @@ def _combine(a, r, b, s):
 
 
 def _sub(r, prow, c, w=None, pw=None):
-    """r with column c cleared by the echelon row prow (real rows): the
-    fraction-free step a*r - b*prow, a/b = prow[c]/r[c] in lowest terms,
-    with the gcd of the result pulled out.  Given a witness w, the step
-    also takes w to a*w - b*pw (pw is prow's witness, None for zero),
-    the pull-out covers row and witness together, and both are returned."""
+    """r with column c cleared by the echelon row prow: the fraction-free
+    step a*r - b*prow, a/b = prow[c]/r[c] in lowest terms (_gsub's step
+    for pair rows), with the gcd of the result pulled out.  Given a
+    witness w, the step also takes w to a*w - b*pw (pw is prow's witness,
+    None for zero), the pull-out covers both, and both are returned."""
+    if type(prow[c]) is tuple:
+        return _gsub(r, prow, c, w, pw)
     a, b = prow[c], r[c]
     g = gcd(a, b)
     if g != 1:
@@ -390,23 +394,27 @@ def _sub(r, prow, c, w=None, pw=None):
     return new, w
 
 
-def _gsub(r, prow, c):
-    """r with column c cleared by the echelon row prow (pair rows)."""
+def _gsub(r, prow, c, w=None, pw=None):
+    """_sub for pair rows: the step prow[c]*r - r[c]*prow, the same on a
+    given witness, and the gcd of every integer in the results pulled out."""
     ar, ai = prow[c]
     br, bi = r[c]
-    new = {k: (ar * x - ai * y, ar * y + ai * x) for k, (x, y) in r.items()}
-    for k, (x, y) in prow.items():
-        nr, ni = new.get(k, (0, 0))
-        nr -= br * x - bi * y
-        ni -= br * y + bi * x
-        if nr or ni:
-            new[k] = (nr, ni)
-        else:
-            del new[k]
-    g = gcd(*(x for v in new.values() for x in v))
+    out = []
+    for x_row, p_row in ((r, prow),) if w is None else ((r, prow), (w, pw or {})):
+        new = {k: (ar * x - ai * y, ar * y + ai * x) for k, (x, y) in x_row.items()}
+        for k, (x, y) in p_row.items():
+            nr, ni = new.get(k, (0, 0))
+            nr -= br * x - bi * y
+            ni -= br * y + bi * x
+            if nr or ni:
+                new[k] = (nr, ni)
+            else:
+                del new[k]
+        out.append(new)
+    g = gcd(*(x for row in out for v in row.values() for x in v))
     if g > 1:
-        return {k: (x // g, y // g) for k, (x, y) in new.items()}
-    return new
+        out = [{k: (x // g, y // g) for k, (x, y) in row.items()} for row in out]
+    return out[0] if w is None else tuple(out)
 
 
 def _canon(row):
@@ -437,11 +445,81 @@ def _gcanon(row):
     return {k: x // g for k, (x, _) in out.items()}
 
 
-def _echelon(rows, leads=None):
-    """Canonical reduced echelon rows spanning the same space, by pivot.
-    Each row appends to a given list leads its least column once reduced
-    by the rows before it (the largest lead in the row plus their span),
-    or None if it lies in their span."""
+class _Echelon:
+    """Row space in (non-reduced) echelon form, with witnesses.
+
+    pivots maps each lead column c to its row (all int or all pair rows);
+    wits may hold its witness, a row at the same scale: both divided by
+    pivots[c][c] give the lead-1 pivot and witness.  reduce(row, wit)
+    clears pivot columns, lowest first, by _sub and applies each step to
+    wit too (a pivot without a witness has witness zero); insert makes a
+    pivot primitive with its witness, lead > 0.  Pivot rows given to the
+    constructor are shared, not copied."""
+
+    __slots__ = ("pivots", "wits")
+
+    def __init__(self, pivots=()):
+        self.pivots = dict(pivots)
+        self.wits = {}
+
+    def reduce(self, row, wit=None):
+        """The remainder of row; wit is updated in place."""
+        z, w = row, wit
+        while z:
+            c = min(z)
+            p = self.pivots.get(c)
+            if p is None:
+                break
+            if w is None:
+                z = _sub(z, p, c)
+            else:
+                z, w = _sub(z, p, c, w, self.wits.get(c))
+        if w is not wit:
+            wit.clear()
+            wit.update(w)
+        return z
+
+    def insert(self, row, wit=None):
+        """Lead column of the new pivot (int rows), or None when row reduces to 0."""
+        z = self.reduce(row, wit)
+        if not z:
+            return None
+        lead = min(z)
+        g = gcd(*z.values(), *(wit or {}).values())
+        if z[lead] < 0:
+            g = -g
+        if g != 1:
+            z = {c: v // g for c, v in z.items()}
+            wit = wit and {c: v // g for c, v in wit.items()}
+        self.pivots[lead] = z
+        if wit is not None:
+            self.wits[lead] = wit
+        return lead
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+
+def _kernel(rows, ech=None):
+    """Int relations w, sum of w[i] * rows[i] zero, one per row that
+    reduces to zero; the largest index is the row's own, and w divided
+    by its coefficient is the rational relation.  The other rows become
+    pivots of ech, the i-th witnessed by {i: 1} as reduced."""
+    if ech is None:
+        ech = _Echelon()
+    out = []
+    for i, row in enumerate(rows):
+        wit = {i: 1}
+        if ech.insert(row, wit) is None:
+            out.append(wit)
+    return out
+
+
+def _echelon(rows):
+    """Canonical reduced echelon rows spanning the same space, by pivot:
+    each row reduced through an _Echelon, then one back-substitution
+    from the last pivot.  A purely imaginary row is taken times -i."""
     live = []
     pairs = False
     for row in rows:
@@ -451,28 +529,18 @@ def _echelon(rows, leads=None):
             else:
                 pairs = True
         live.append(row)
-    leads = [] if leads is None else leads
-    if pairs:
-        return _insert_all([_as_pairs(r) for r in live], _gsub, _gcanon, leads)
-    return _insert_all(live, _sub, _canon, leads)
-
-
-def _insert_all(rows, sub, canon, leads):
-    # Every row in piv is zero at every other pivot column, so clearing one
-    # pivot column of a row never fills another.
-    piv = {}
-    for r in rows:
-        for c in [c for c in r if c in piv]:
-            r = sub(r, piv[c], c)
-        c = min(r, default=None)
-        leads.append(c)
-        if c is None:
-            continue
-        for c2, prow in piv.items():
-            if c in prow:
-                piv[c2] = sub(prow, r, c)
-        piv[c] = r
-    return [canon(piv[c]) for c in sorted(piv)]
+    ech = _Echelon()
+    piv = ech.pivots
+    for r in live:
+        if z := ech.reduce(_as_pairs(r) if pairs else r):
+            piv[min(z)] = z
+    # back-substitution from the last pivot: the rows done are canonical and
+    # zero at one another's pivots, so clearing one pivot fills no other
+    done = []
+    for lead in sorted(piv, reverse=True):
+        r = _reduce(done, piv[lead])
+        done.append(_gcanon(_as_pairs(r)) if pairs else _canon(r))
+    return done[::-1]
 
 
 def _reduce(rows, r):
@@ -482,7 +550,7 @@ def _reduce(rows, r):
         c = next(iter(row))
         if c in r:
             if _is_pairs(row) or _is_pairs(r):
-                r = _tidy(_gsub(_as_pairs(r), _as_pairs(row), c))
+                r = _tidy(_sub(_as_pairs(r), _as_pairs(row), c))
             else:
                 r = _sub(r, row, c)
     return r

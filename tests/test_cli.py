@@ -495,6 +495,47 @@ class TestCdgaVerbs:
         assert obj["dims"] == {
             "0": 1, "1": 4, "2": 8, "3": 10, "4": 8, "5": 4, "6": 1}
 
+    # Every iwasawa piece above degree 6 is zero, so no degree walk may go
+    # past it, however large the degree asked for.
+    @pytest.mark.parametrize("max_deg", ["1000000", "100000000"])
+    def test_cohomology_stops_at_top_degree(self, capsys, max_deg):
+        start = time.perf_counter()
+        code, lines, _ = run_lines(
+            capsys, ["cdga", "cohomology", "--preset", "iwasawa", "--max-deg", max_deg])
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        assert lines == run_lines(
+            capsys, ["cdga", "cohomology", "--preset", "iwasawa", "--max-deg", "10"])[1]
+
+    def test_rank_above_top_degree(self, capsys):
+        start = time.perf_counter()
+        code, obj = run_json(
+            capsys, ["cdga", "rank", "--preset", "iwasawa", "--j", "1",
+                     "--k", "100000000", "--json"])
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        assert obj == {"j": 1, "k": 100000000, "r": 0, "d": 0, "slack": 0}
+
+    def test_obstruct_level_above_top_degree(self, capsys):
+        start = time.perf_counter()
+        code, obj = run_json(
+            capsys, ["cdga", "obstruct", "--preset", "iwasawa",
+                     "--j", "100000000", "--json"])
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        assert (obj["cup_hypothesis"], obj["rows"], obj["verdict"]) == (True, {}, "inconclusive")
+
+    def test_obstruct_dimension_above_top_degree(self, capsys, tmp_path):
+        obj = cdga_to_json(preset("iwasawa"))
+        obj["dim"] = 100000000
+        path = tmp_path / "iwasawa.json"
+        path.write_text(json.dumps(obj))
+        start = time.perf_counter()
+        code, _, err = run_lines(capsys, ["cdga", "obstruct", "--j", "1", str(path)])
+        assert time.perf_counter() - start < 2
+        assert code == 2
+        assert err == "error: b_100000000 = 0, expected 1\n"
+
     def test_model_shortcut_returns_input(self, capsys):
         code, obj = run_json(
             capsys, ["cdga", "model", "--preset", "nil_m1", "--j", "1",

@@ -8,6 +8,13 @@ and reads the row spectral sequence as the column sequence of the
 transposed bicomplex.  The library route must give the same subspaces,
 pages and filtration tables, and its H^k coordinate map must kill Im d
 and have rank b_k on Ker d.
+
+The library reads Ker d ∩ F^p off the essential cycles of the pages'
+persistence pairing; the per-level kernel it replaced, `kerd_F`, is kept
+here, and the cycles of level >= p must be cycles in F^p that span it
+modulo Im d, with the same images in H^k.  The same oracle runs on the
+sums with del replaced by i*del, whose d has real, purely imaginary and
+genuinely complex columns.
 """
 
 import json
@@ -18,6 +25,7 @@ import pytest
 
 from zzcalc import functors
 from zzcalc.bicomplex import (
+    Bicomplex,
     MultiplicityTable,
     dot_shape,
     make_zigzag,
@@ -30,15 +38,18 @@ from zzcalc.decomposition import realize
 from zzcalc.errors import Inconsistent
 from zzcalc.functors import FiltrationTable, TotalComplex, hodge_filtration, spectral_page
 from zzcalc.linalg import (
+    I,
     Scalar,
     Subspace,
+    _kernel_rows,
+    _subspace,
     apply_matrix,
     coordinate_subspace,
     preimage,
     subspace_intersect,
     subspace_sum,
 )
-from zzcalc.models import product_model
+from zzcalc.models import product_model, vaisman_model
 
 from test_acceptance import random_table
 
@@ -122,6 +133,20 @@ def old_kerd_F(tc, k, axis, level):
     return subspace_intersect(tc.ker_d(k), coordinate_filtration(tc, k, axis, level))
 
 
+def kerd_F(tc, k, axis, level):
+    """Ker d ∩ F^level in degree k (Fbar^level along axis 1): the kernel
+    of d on the coordinates of level >= level, embedded back.  This was
+    the library route before the filtration read the pairing's cycles."""
+    cols = [i for pq, off, dim in tc.blocks(k) if pq[axis] >= level
+            for i in range(off, off + dim)]
+    at = {j: t for t, j in enumerate(cols)}
+    sub = [{at[j]: v for j, v in row.items() if j in at} for row in tc.d(k).sparse]
+    # an increasing embedding of coordinates keeps the rows canonical
+    return _subspace(tc.dim(k), [
+        {cols[t]: v for t, v in r.items()} for r in _kernel_rows(sub, len(cols))
+    ])
+
+
 def old_compute_filtration(tc):
     """The filtration in the full degree-k ambient: V and W contain Im d,
     and every V[p] ∩ W[q] is a Zassenhaus intersection there."""
@@ -192,14 +217,37 @@ def assert_h_map(tc):
         assert Subspace(bk, [dense(x, bk) for x in images]).dim == bk, k
 
 
-def assert_filtrations_agree(A):
-    tc = TotalComplex(A)
+def span(n, rows):
+    return Subspace(n, [dense(x, n) for x in rows])
+
+
+def assert_cycles_agree(tc):
+    """For every degree, axis and level: the pairing's cycles of level
+    >= level have d z = 0 and support in F^level, span Ker d ∩ F^level
+    modulo Im d, and have the same images in H^k as the replaced route,
+    itself equal to the intersection route."""
     for k in tc.degrees():
+        n, bk, h, im = tc.dim(k), tc.betti(k), functors._h_map(tc, k), tc.im_d(k)
         for axis in (0, 1):
+            cycles = functors._pairs(tc, axis)[1].get(k, [])
+            assert len(cycles) == bk, (k, axis)
             levels = {pq[axis] for pq, _, _ in tc.blocks(k)}
             for level in range(min(levels, default=0) - 1, max(levels, default=0) + 2):
-                old = old_kerd_F(tc, k, axis, level)
-                assert functors._kerd_F(tc, k, axis, level) == old, (k, axis, level)
+                where = (k, axis, level)
+                old = kerd_F(tc, k, axis, level)
+                assert old == old_kerd_F(tc, k, axis, level), where
+                support = coordinate_filtration(tc, k, axis, level)
+                zs = [z for a, z in cycles if a >= level]
+                for z in zs:
+                    assert not any(tc.d(k).apply(dense(z, n))), where
+                    assert support.contains(dense(z, n)), where
+                assert subspace_sum(span(n, zs), im) == subspace_sum(old, im), where
+                assert span(bk, map(h, zs)) == span(bk, map(h, old.rows)), where
+
+
+def assert_filtrations_agree(A):
+    tc = TotalComplex(A)
+    assert_cycles_agree(tc)
     assert_h_map(tc)
     assert hodge_filtration(tc) == old_compute_filtration(TotalComplex(A))
 
@@ -247,6 +295,58 @@ def test_padded_product_filtration():
     P = product_model(closed_sum((0, 1)), closed_sum((1, 0)))
     assert P.total_dim() == 225
     assert_filtrations_agree(P)
+
+
+VAISMAN = [
+    (1, {(0, 0): 1}),
+    (2, {(0, 0): 1, (1, 0): 2, (0, 1): 2}),
+    (3, {(0, 0): 2, (1, 1): 1}),
+]
+
+
+@pytest.mark.parametrize("n, P", VAISMAN, ids=[f"vaisman{i}" for i in range(len(VAISMAN))])
+def test_vaisman_filtration(n, P):
+    assert_filtrations_agree(vaisman_model(n, P))
+
+
+def times_i_on_del(A):
+    """A with del replaced by i*del: still a bicomplex, isomorphic to A
+    by i^p on A^{p,q}, so its filtration table is A's."""
+    return Bicomplex(A.spaces, {pq: m * I for pq, m in A.del_maps.items()}, A.delbar_maps)
+
+
+def column_kinds(tc):
+    """The kinds of the nonzero columns of every d: real, imaginary, complex."""
+    kinds = set()
+    for k in tc.degrees():
+        for col in tc.d(k)._columns():
+            values = [v if isinstance(v, tuple) else (v, 0) for v in col.values()]
+            if values:
+                kinds.add("imaginary" if not any(re for re, _ in values)
+                          else "complex" if any(im for _, im in values) else "real")
+    return kinds
+
+
+def test_gaussian_sums_have_every_column_kind():
+    kinds = [column_kinds(TotalComplex(times_i_on_del(A))) for A in SUMS]
+    assert sum(k == {"real", "imaginary", "complex"} for k in kinds) >= 4
+
+
+@pytest.mark.parametrize("A", SUMS, ids=[f"sum{i}" for i in range(len(SUMS))])
+def test_gaussian_columns(A):
+    G = times_i_on_del(A)
+    assert_filtrations_agree(G)
+    assert hodge_filtration(G) == hodge_filtration(A)
+
+
+def test_dependent_cycles_are_inconsistent():
+    """Each set of cycles of level >= p must stay independent in H^k."""
+    tc = TotalComplex(SUMS[1])
+    cycles = functors._pairs(tc, 0)[1]
+    k = next(k for k, zs in sorted(cycles.items()) if zs)
+    cycles[k].append(cycles[k][0])
+    with pytest.raises(Inconsistent, match=f"dependent in H\\^{k}"):
+        hodge_filtration(tc)
 
 
 def test_filtration_intersects_in_cohomology_coordinates(monkeypatch):

@@ -35,11 +35,16 @@ from zzcalc.bicomplex import (
 from zzcalc.conditions import check_ddc3, ell, numeric_report, purity_diagram
 from zzcalc.decomposition import realize
 from zzcalc.errors import AmbientMismatch, InvalidInput
-from zzcalc.functors import TotalComplex, _kerd_F, spectral_page
+from zzcalc.functors import TotalComplex, spectral_page
 from zzcalc.linalg import I, ONE, ZERO, Scalar, _coerce, format_scalar, parse_scalar
 
 from test_acceptance import random_table
-from test_filtration_oracle import old_compute_filtration, old_kerd_F
+from test_filtration_oracle import (
+    assert_cycles_agree,
+    kerd_F,
+    old_compute_filtration,
+    old_kerd_F,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -810,21 +815,23 @@ def test_cache_families_against_old_route(table, A):
         elif name in ("d", "dc", "ddc"):
             assert_same_matrix(value, getattr(old, name)(*args))
         elif name == "pairs":
-            assert_pairing_lemma(old, *args, value)
+            assert_pairing_lemma(old, *args, value[0])
         else:
             method = {"ii_sum": old.ii_sum, "ii_cap": old.ii_cap}.get(name) or getattr(old, name)
             assert_same_subspace(value, method(*args))
     assert families >= {"d", "dc", "ddc", "ker_d", "im_d", "ker_dc", "im_dc", "ker_ddc",
                         "im_ddc", "d_ker_dc", "dinv_im_dc", "kk", "ii_sum", "ii_cap",
                         "kd_imd", "kd_imdc", "pairs", "filtration", "multiplicities"}
-    # Ker d ∩ F^level is not cached; check each one the filtration uses
+    # the filtration reads Ker d ∩ F^level off the cycles cached with the
+    # pairs; check them, and the kernel route they replaced, at each level
+    assert_cycles_agree(tc)
     for k in tc.degrees():
         for axis in (0, 1):
             levels = [pq[axis] for pq, _, _ in tc.blocks(k)]
             if not levels:
                 continue
             for level in range(min(levels), max(levels) + 2):
-                value = _kerd_F(tc, k, axis, level)
+                value = kerd_F(tc, k, axis, level)
                 assert_same_subspace(value, old.kerd_F(k, axis, level))
                 assert value == old_kerd_F(tc, k, axis, level)
 
