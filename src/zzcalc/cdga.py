@@ -3,13 +3,17 @@
 A presentation is a free graded-commutative algebra over Q on named
 generators, with the differential given per generator and extended as
 a degree +1 derivation.  Monomials are tuples of generator indices in
-ascending order; reordering picks up a Koszul sign, and a repeated odd
-index kills the term.  Polynomials, representatives, coordinates and
-primitives are exact Fractions at the API, but every elimination is one
+ascending order.  A product merges two of them, with one Koszul sign
+for each odd factor that passes another (found by bisect, no sorting
+by swaps), and a repeated odd index kills the term.  Polynomials,
+representatives, coordinates and primitives are exact Fractions at the
+API and in the minimal-model tower, whose generators are handed back;
+the rest of the work is on ints.  Every elimination is one
 linalg._Echelon, the package's witness-carrying echelon, on sparse
 {column: int} rows: d is scaled once to integers, a rational row is
 cleared of denominators on the way in, and a result is divided by its
-integer scale once on the way out.
+integer scale once on the way out.  The duality pairing and the cup
+subalgebra also read the integer representative rows h_rows directly.
 
 The obstruction pipeline is one fixed recipe.  For a presentation P of
 formal dimension 2n and a level j:
@@ -20,10 +24,13 @@ formal dimension 2n and a level j:
     phi on the degree-2n cochains gives the top-class coordinate, each
     representative monomial m1 is contracted once against supp phi
     into the dual terms (T/m1, sign * phi(T)), and a pairing entry is
-    the sparse dot product of those terms with the complementary
-    representative;
+    the integer dot product of those terms with the complementary
+    representative row, divided once by both rows' leads and phi's
+    denominator;
   * check the cup hypothesis that the subalgebra generated by classes
-    of degree <= j misses H^{j+1};
+    of degree <= j misses H^{j+1}.  Its products multiply integer
+    polynomials, the representative rows and span vectors lifted
+    through them, and only the product's coordinates are solved for;
   * compare r_j^k, the rank of H^k of the j-minimal model map, with
     d_j^k, the dimension of the degree-k piece of that subalgebra.
 
@@ -36,6 +43,7 @@ the degrees where the candidate is excluded.
 
 import itertools
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, lcm
@@ -84,24 +92,23 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 # Monomials and polynomials.
 #
 # A monomial is a tuple of generator indices sorted ascending; a
-# polynomial is a dict monomial -> Fraction with no zero values.
+# polynomial is a dict monomial -> coefficient (a Fraction, or an int
+# inside the engine) with no zero values.  Only odd factors carry signs:
+# moving an odd factor x into a sorted monomial passes the odd factors
+# greater than x, and an odd x already present kills the product.
 
 
-def _sort_indices(indices, degrees):
-    """Canonical order with Koszul sign; (0, ()) when an odd repeats."""
-    sign = 1
-    lst = list(indices)
-    for i in range(1, len(lst)):
-        j = i
-        while j > 0 and lst[j - 1] > lst[j]:
-            if degrees[lst[j - 1]] % 2 and degrees[lst[j]] % 2:
-                sign = -sign
-            lst[j - 1], lst[j] = lst[j], lst[j - 1]
-            j -= 1
-    for a, b in zip(lst, lst[1:]):
-        if a == b and degrees[a] % 2:
-            return 0, ()
-    return sign, tuple(lst)
+def _mul_mono(m1, m2, degrees):
+    """(sign, m1 * m2) for sorted monomials; (0, ()) when an odd repeats."""
+    flips = 0
+    for x in m2:
+        if degrees[x] & 1:
+            q = bisect_left(m1, x)
+            if q < len(m1) and m1[q] == x:
+                return 0, ()
+            for y in m1[q:]:
+                flips += degrees[y] & 1
+    return (-1 if flips & 1 else 1), tuple(sorted(m1 + m2))
 
 
 def _mono_degree(mono, degrees):
@@ -121,27 +128,50 @@ def _poly_mul(p1, p2, degrees):
     out = {}
     for m1, c1 in p1.items():
         for m2, c2 in p2.items():
-            sign, m = _sort_indices(m1 + m2, degrees)
+            sign, m = _mul_mono(m1, m2, degrees)
             if sign:
                 out[m] = out.get(m, 0) + sign * c1 * c2
     return {m: c for m, c in out.items() if c}
 
 
 def _d_monomial(mono, dpolys, degrees):
-    """Leibniz expansion of d on one monomial."""
+    """Leibniz expansion of d on one monomial.
+
+    odd[t] counts the odd factors before position t.  The term that puts
+    a monomial m of d(mono[t]) in place of mono[t] has the sign
+    (-1)^odd[t], times one sign for each odd factor of the rest that an
+    odd factor x of m passes on its way to q = bisect(mono, x): the
+    parity of odd[q] - odd[t], less mono[t] itself when it is odd and q
+    lies past it.  An odd x that the rest already has kills the term.
+    """
     out = {}
-    parity = 0
+    odd = [0]
+    for g in mono:
+        odd.append(odd[-1] + (degrees[g] & 1))
+    n = len(mono)
     for t, g in enumerate(mono):
         dg = dpolys[g]
-        if dg:
-            lead = -1 if parity % 2 else 1
-            head = mono[:t]
-            tail = mono[t + 1:]
-            for m, c in dg.items():
-                sign, mm = _sort_indices(head + m + tail, degrees)
-                if sign:
-                    out[mm] = out.get(mm, 0) + lead * sign * c
-        parity += degrees[g]
+        if not dg:
+            continue
+        rest = mono[:t] + mono[t + 1:]
+        ot = odd[t]
+        past = ot + (degrees[g] & 1)  # odd[q] counts mono[t] when q > t
+        for m, c in dg.items():
+            flips = ot
+            for x in m:
+                if degrees[x] & 1:
+                    q = bisect_left(mono, x)
+                    if q > t:
+                        if q < n and mono[q] == x:
+                            break
+                        flips += odd[q] - past
+                    elif q < t:
+                        if mono[q] == x:
+                            break
+                        flips += ot - odd[q]
+            else:
+                mm = tuple(sorted(rest + m))
+                out[mm] = out.get(mm, 0) + (-c if flips & 1 else c)
     return {m: c for m, c in out.items() if c}
 
 
@@ -201,7 +231,7 @@ def parse_poly(text, index, degrees):
         elif tokens[pos] == "-":
             coef = -coef
             pos += 1
-        indices = []
+        sign, mono, factors = 1, (), 0
         expect_factor = True
         while expect_factor:
             if pos >= total:
@@ -225,18 +255,22 @@ def parse_poly(text, index, degrees):
                         raise InvalidInput(f"exponent must be a natural: {e}")
                     power = int(e)
                     pos += 1
-                if len(indices) + power > PIECE_CAP:
+                factors += power
+                if factors > PIECE_CAP:
                     raise InvalidInput(
                         f"monomial with more than {PIECE_CAP} factors "
                         f"in {text!r}")
-                indices.extend([g] * power)
+                if power > 1 and degrees[g] & 1:
+                    sign = 0  # an odd square
+                elif sign:
+                    s, mono = _mul_mono(mono, (g,) * power, degrees)
+                    sign *= s
             else:
                 raise InvalidInput(f"expected a factor in {text!r}")
             if pos < total and tokens[pos] == "*":
                 pos += 1
             else:
                 expect_factor = False
-        sign, mono = _sort_indices(indices, degrees)
         if sign:
             poly[mono] = poly.get(mono, 0) + sign * coef
     return {m: c for m, c in poly.items() if c}
@@ -315,7 +349,10 @@ class CdgaPresentation:
             else:
                 poly = {}
                 for mono, coef in dict(value).items():
-                    sign, m = _sort_indices(tuple(mono), self.degrees)
+                    sign, m = 1, ()
+                    for x in mono:
+                        s, m = _mul_mono(m, (x,), self.degrees)
+                        sign *= s
                     if sign:
                         _poly_add_into(poly, {m: Fraction(coef)}, sign)
             target = self.degrees[g] + 1
@@ -432,7 +469,6 @@ class _Engine:
                               for m, c in p.items()} for p in self.dpolys]
         self._basis = {}
         self._bindex = {}
-        self._drow = {}
         self._coh = {}
         self._d_echs = {}
         self._ker_wits = {}
@@ -476,14 +512,11 @@ class _Engine:
         return self._bindex[k]
 
     def d_row(self, mono, k):
-        """Image of a degree-k basis monomial as a row over basis(k+1)."""
-        got = self._drow.get(mono)
-        if got is None:
-            poly = _d_monomial(mono, self._dints, self.degrees)
-            idx = self.bindex(k + 1)
-            got = {idx[m]: c for m, c in poly.items()}
-            self._drow[mono] = got
-        return got
+        """Image of a degree-k basis monomial as a row over basis(k+1).
+        Not cached: _eliminate asks for each row once."""
+        idx = self.bindex(k + 1)
+        poly = _d_monomial(mono, self._dints, self.degrees)
+        return {idx[m]: c for m, c in poly.items()}
 
     def _eliminate(self, k):
         """Reduce d out of degree k once.  Its echelon is Im d for
@@ -546,8 +579,21 @@ class _Engine:
         w, s = self.coords(prod, k1 + k2)
         return {i: Fraction(v, s) for i, v in w.items()}
 
+    def h_polys(self, k):
+        """The H^k representative rows as int polynomials, each lead times
+        its h_rep_poly, with the leads."""
+        basis = self.basis(k)
+        rows = self.coh(k).h_rows
+        return ([{basis[c]: v for c, v in row.items()} for row in rows],
+                [row[min(row)] for row in rows])
+
     def subalgebra_span(self, j, up_to):
-        """Echelon spans of <H^{<=j}> per degree, in H coordinates."""
+        """Echelon spans of <H^{<=j}> per degree, in H coordinates.
+
+        A product is formed on int polynomials: the representative rows
+        as they are, and a span vector lifted through them, each scaled
+        by lcm(leads) / its lead.  That only scales the product, which
+        no primitive, positive-lead pivot of the span sees."""
         spans = self._spans.setdefault(j, {0: None})
         for m in range(1, min(up_to, self.top) + 1):
             if m in spans:
@@ -557,24 +603,20 @@ class _Engine:
                 for i in range(self.betti(m)):
                     ech.insert({i: 1})
             else:
-                lifted = {}
-
-                def lift(b, vec):
-                    poly = {}
-                    for c, v in vec.items():
-                        _poly_add_into(poly, self.h_rep_poly(b, c), v)
-                    return poly
-
                 for a in range(1, min(j, m - 1) + 1):
-                    b = m - a
-                    sub = spans.get(b)
+                    sub = spans.get(m - a)
                     if sub is None or not sub.pivots:
                         continue
-                    vecs = lifted.setdefault(
-                        b, [lift(b, vec) for vec in sub.pivots.values()])
-                    for i in range(self.betti(a)):
-                        pa = self.h_rep_poly(a, i)
-                        for pb in vecs:
+                    reps, leads = self.h_polys(m - a)
+                    scale = lcm(*leads)
+                    lifted = []
+                    for vec in sub.pivots.values():
+                        poly = {}
+                        for c, v in vec.items():
+                            _poly_add_into(poly, reps[c], v * (scale // leads[c]))
+                        lifted.append(poly)
+                    for pa in self.h_polys(a)[0]:
+                        for pb in lifted:
                             prod = _poly_mul(pa, pb, self.degrees)
                             if prod:
                                 ech.insert(self.coords(prod, m)[0])
@@ -869,31 +911,40 @@ def _contract(m1, phi, degrees):
         except ValueError:
             continue
         m2 = tuple(rest)
-        out.append((m2, _sort_indices(m1 + m2, degrees)[0] * v))
+        out.append((m2, _mul_mono(m1, m2, degrees)[0] * v))
     return out
 
 
 def _pairing_rows(eng, phi, k, n2, contractions):
     """Rows {l: <[rep_i][rep_l], top class>} of the H^k x H^{n2-k} pairing.
 
-    contractions caches _contract per monomial across degrees.
+    The sums run on ints: the representative rows as they are, and phi
+    times its common denominator den.  Entry (i, l) is divided once, by
+    lead_i * lead_l * den.  contractions caches _contract per monomial,
+    over the column indices of the complementary degree.
     """
-    others = [eng.h_rep_poly(n2 - k, l) for l in range(eng.betti(n2 - k))]
+    den = lcm(*(v.denominator for v in phi.values()))
+    phi = {m: v.numerator * (den // v.denominator) for m, v in phi.items()}
+    basis, idx = eng.basis(k), eng.bindex(n2 - k)
+    others = eng.coh(n2 - k).h_rows
+    leads = [row[min(row)] for row in others]
     rows = []
-    for i in range(eng.betti(k)):
+    for rep in eng.coh(k).h_rows:
         dual = {}
-        for m1, c1 in eng.h_rep_poly(k, i).items():
+        for c1, x1 in rep.items():
+            m1 = basis[c1]
             terms = contractions.get(m1)
             if terms is None:
-                terms = contractions[m1] = _contract(m1, phi, eng.degrees)
-            for m2, v in terms:
-                dual[m2] = dual.get(m2, 0) + c1 * v
+                terms = contractions[m1] = [
+                    (idx[m2], v) for m2, v in _contract(m1, phi, eng.degrees)]
+            for c2, v in terms:
+                dual[c2] = dual.get(c2, 0) + x1 * v
+        scale = rep[min(rep)] * den
         row = {}
-        for l, rep in enumerate(others):
-            val = sum(
-                (c2 * dual[m2] for m2, c2 in rep.items() if m2 in dual), 0)
+        for l, other in enumerate(others):
+            val = sum(x2 * dual[c2] for c2, x2 in other.items() if c2 in dual)
             if val:
-                row[l] = val
+                row[l] = Fraction(val, scale * leads[l])
         rows.append(row)
     return rows
 

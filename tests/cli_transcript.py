@@ -3,7 +3,9 @@
 Each case runs one `zz` report verb on a fixed input; its exit code,
 stdout and stderr must equal the record in `golden/cli_transcript.json`.
 The bicomplex verbs run on the Hopf model and on a scrambled sum with
-zigzags of length 4 and 5; the cdga verbs run on `--preset ex_k2_M`.
+zigzags of length 4 and 5; the cdga verbs run on `--preset ex_k2_M`, and
+three of them also on a sheared S2 x S2, whose even generators take the
+sign path of even powers.
 This module needs only the standard library; `test_cli_transcript.py`
 runs the same cases under pytest.
 
@@ -60,9 +62,23 @@ CDGA_VERBS = {
     "cdga-compat": ["cdga", "compat", "--j", "1", "--complex", "{dot}"],
 }
 
+EVEN_CDGA_VERBS = {
+    "cdga-cohomology-8": ["cdga", "cohomology", "--max-deg", "8"],
+    "cdga-model-2": ["cdga", "model", "--j", "2"],
+    "cdga-obstruct-2": ["cdga", "obstruct", "--j", "2"],
+}
+
+# C^4 = <a^2, a*x, x^2> with a^2 and a*x + x^2 exact.
+SHEARED_S2XS2 = {
+    "dim": 4,
+    "generators": [{"name": "a", "degree": 2}, {"name": "x", "degree": 2},
+                   {"name": "y", "degree": 3}, {"name": "z", "degree": 3}],
+    "d": {"y": "a^2", "z": "a*x+x^2"},
+}
+
 
 def _inputs():
-    """The bicomplex inputs as canonical JSON text, by name."""
+    """The input files' JSON text, by name."""
     zigzags = MultiplicityTable({
         square_shape(0, 0): 1,
         zigzag_shape((0, 1), 4, "horizontal"): 1,
@@ -72,6 +88,7 @@ def _inputs():
         "hopf": dumps(vaisman_model(1, {(0, 0): 1})),
         "zigzag45": dumps(scramble(realize(zigzags), 5)),
         "dot": dumps(realize(MultiplicityTable({dot_shape(0, 0): 1}))),
+        "sheared_s2xs2": json.dumps(SHEARED_S2XS2),
     }
 
 
@@ -84,6 +101,10 @@ def _cases():
         for fmt in ("text", "json"):
             yield (f"{verb}/ex_k2_M/{fmt}",
                    argv + ["--preset", "ex_k2_M"], fmt)
+    for verb, argv in EVEN_CDGA_VERBS.items():
+        for fmt in ("text", "json"):
+            yield (f"{verb}/sheared_s2xs2/{fmt}",
+                   argv + ["{sheared_s2xs2}"], fmt)
 
 
 CASES = {name: (argv, fmt) for name, argv, fmt in _cases()}

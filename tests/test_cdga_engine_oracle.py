@@ -6,13 +6,16 @@ as kernel vectors reduced through Im d, `project`, `solve_d` and the
 kernel of a tower stage.  Two earlier routes are kept here, unchanged,
 as oracles: the same `_Echelon` on sparse `Fraction` rows with lead-1
 pivots (`FracEngine`), and before it one hand-written pivot walk per
-elimination (`OldEngine`).  All three make the same row operations in
-the same order, so the integer engine's values, divided as the Fraction
-route would hold them, must agree exactly: a pivot divided by its lead,
-its witness divided by the same lead, a kernel relation divided by its
-own-row coefficient; representatives, coordinates, primitives and tower
-adds.  (The old coh also eliminates d out of degree k twice, where the
-engine shares one pass between coh(k) and coh(k+1).)
+elimination (`OldEngine`).  Both build their d rows with the replaced
+insertion-sort `_d_monomial` of `test_koszul_oracle`, so their d rows
+share no sign code with the engine's.  All three make the same row
+operations in the same order, so the integer engine's values, divided
+as the Fraction route would hold them, must agree exactly: a pivot
+divided by its lead, its witness divided by the same lead, a kernel
+relation divided by its own-row coefficient; representatives,
+coordinates, primitives and tower adds.  (The old coh also eliminates
+d out of degree k twice, where the engine shares one pass between
+coh(k) and coh(k+1).)
 """
 
 import itertools
@@ -27,6 +30,7 @@ from zzcalc.cdga import CdgaPresentation, obstruction, preset
 from zzcalc.errors import Inconsistent
 
 from test_duality_oracle import s2xs2, sheared_s2xs2
+from test_koszul_oracle import _d_monomial
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -112,13 +116,9 @@ class FracEngine(cdga._Engine):
     representatives, project and solve_d on sparse Fraction rows."""
 
     def d_row(self, mono, k):
-        got = self._drow.get(mono)
-        if got is None:
-            poly = cdga._d_monomial(mono, self.dpolys, self.degrees)
-            idx = self.bindex(k + 1)
-            got = {idx[m]: c for m, c in poly.items()}
-            self._drow[mono] = got
-        return got
+        idx = self.bindex(k + 1)
+        poly = _d_monomial(mono, self.dpolys, self.degrees)
+        return {idx[m]: c for m, c in poly.items()}
 
     def _eliminate(self, k):
         ech = FracEchelon()

@@ -2,7 +2,8 @@
 
 `cdga._check_poincare_duality` reads every pairing entry off one
 top-degree functional phi (`_top_functional`) and contracts each
-representative monomial against supp phi (`_pairing_rows`).  The route
+representative monomial against supp phi (`_pairing_rows`, on the
+integer representative rows, each entry divided once).  The route
 it replaced formed each entry as a full cup product, projected into the
 H^{2n} basis; that route is kept here, unchanged, as the oracle.  The
 two must give the same pairing matrix entry by entry and raise the same
@@ -16,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from zzcalc import cdga
-from zzcalc.cdga import CdgaPresentation, obstruction, preset
+from zzcalc.cdga import CdgaPresentation, d_jk, obstruction, preset
 from zzcalc.errors import NoPoincareDuality
 
 
@@ -184,6 +185,25 @@ def test_forms_no_cup_product(monkeypatch):
     monkeypatch.setattr(cdga._Engine, "cup_coords", forbidden)
     for name in ("filiform(8)", "S2xS2", "sheared S2xS2"):
         cdga._check_poincare_duality(CASES[name]())
+
+
+def test_obstruction_forms_no_rational_representative(monkeypatch):
+    """The pairing and the cup subalgebra run on the integer h_rows."""
+    def forbidden(*args):
+        raise AssertionError("a representative was formed over Fractions")
+
+    monkeypatch.setattr(cdga._Engine, "h_rep_poly", forbidden)
+    report = obstruction(preset("filiform(8)"), 2)
+    assert {k: (row.r_jk, row.d_jk) for k, row in report.rows.items()} == {
+        3: (8, 2), 4: (10, 5), 5: (8, 1), 6: (4, 2), 7: (2, 0), 8: (1, 1)}
+    # filiform(12)'s representatives have leads up to 429, and its span
+    # vectors mix classes of different leads, so a lift that skipped the
+    # lcm(leads) / lead scaling would change these
+    P = preset("filiform(12)")
+    assert [d_jk(P, 2, k) for k in range(13)] == [
+        1, 2, 6, 4, 13, 6, 12, 4, 7, 1, 2, 0, 1]
+    assert [d_jk(P, 3, k) for k in range(13)] == [
+        1, 2, 6, 18, 19, 37, 44, 30, 24, 13, 5, 1, 1]
 
 
 def test_engine_freed_with_presentation():
