@@ -503,6 +503,17 @@ def _cmd_check(args):
                      _check_worker, lambda c, msg: {"verdict": msg})
 
 
+def _jobs(text):
+    """A --jobs value: a process count, at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
+
+
 def _parse_prim(text):
     prim = {}
     for chunk in text.split(";"):
@@ -575,7 +586,7 @@ def _build_parser():
     p = sub.add_parser("validate", parents=[fmt],
                        help="load, check the bicomplex identities, report")
     p.add_argument("files", nargs="*", help="files (default: stdin)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(handler=_cmd_validate)
 
     p = sub.add_parser("decompose", parents=[fmt, one],
@@ -616,7 +627,7 @@ def _build_parser():
                        help="two adjacent filtration weights per degree")
     which.add_argument("--j", type=int, help="j-controlled")
     p.add_argument("files", nargs="*", help="files (default: stdin)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("numerics", parents=[fmt, one],

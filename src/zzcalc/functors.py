@@ -37,8 +37,9 @@ coordinates and counts one rank of d_{t-a}; page r at a position is
 its dimension less the pairs of jump below r that start or end there.
 A column of level a that reduces to 0 leaves a cycle of level >= a,
 its witness; those of level >= p span Ker d ∩ F^p modulo Im d.  One
-linear map on degree-k cocycles, with kernel exactly Im d, carries them
-to Q(i)^{b_k}, where every Hodge filtration intersection and sum runs.
+elimination per degree turns the cycles of both axes into a basis of
+H^k adapted to both Hodge filtrations (two filtrations of one space
+always have one), so every filtration entry is a count of its classes.
 
 Every report (here and in `conditions`) is a dataclass whose to_json is
 one encoder: its fields by name, dict keys written as "k", "p,q" or
@@ -63,8 +64,6 @@ from .linalg import (
     _as_pairs,
     _echelon,
     _is_pairs,
-    _reduce,
-    _span,
     _tidy,
     apply_matrix,
     image_basis,
@@ -72,7 +71,6 @@ from .linalg import (
     preimage,
     subspace_intersect,
     subspace_sum,
-    zero_subspace,
 )
 
 __all__ = [
@@ -345,104 +343,85 @@ class FiltrationTable:
         return out
 
 
-def _h_map(tc, k):
-    """h_k: degree-k cocycles to Q(i)^{b_k}, with kernel exactly Im d,
-    on sparse integer rows.
-
-    A row is reduced modulo the reduced echelon basis of Im d and kept
-    on the columns that are not Im d pivots.  Ker d reduced the same way
-    has a reduced echelon basis of b_k rows, and a reduced cocycle's
-    entries at their pivot columns are its coordinates in that basis,
-    each times that row's pivot entry, so h_k maps the subspaces between
-    Im d and Ker d isomorphically, as a lattice, onto the subspaces of
-    Q(i)^{b_k}.  Each image comes out up to a nonzero factor, which no
-    span notices.
-    """
-    im = tc.im_d(k).rows
-    pivots = {next(iter(row)) for row in im}
-    free = {j: t for t, j in enumerate(j for j in range(tc.dim(k)) if j not in pivots)}
-
-    def reduce(v):
-        # every Im d pivot column is cleared, so each column left is free
-        return {free[j]: x for j, x in _reduce(im, v).items()}
-
-    quo = _span(len(free), [reduce(v) for v in tc.ker_d(k).rows])
-    if quo.dim != tc.betti(k):
-        raise Inconsistent(
-            f"H^{k} coordinates have rank {quo.dim} on Ker d, not b_{k} = {tc.betti(k)}"
-        )
-    cols = {next(iter(row)): t for t, row in enumerate(quo.rows)}
-
-    def h(v):
-        return {cols[j]: x for j, x in reduce(v).items() if j in cols}
-
-    return h
-
-
 def hodge_filtration(A):
     """Filtration data of the de Rham cohomology of A.
 
     F^p H^k is the space of classes representable by elements of
     column-filtration level >= p; in subspace terms the image of
-    Ker d ∩ F^p in Ker d / Im d.  Every intersection and sum of these
-    images runs in H^k coordinates, on subspaces of Q(i)^{b_k}.
+    Ker d ∩ F^p in Ker d / Im d.  Both filtrations have one adapted
+    basis of H^k, its cells, and every entry of the table counts cells.
     """
     return _tc(A).filtration()
+
+
+def _cells(tc, k):
+    """A basis of H^k adapted to both Hodge filtrations, as the levels
+    (a, t) of its classes: F^p ∩ Fbar^q is spanned by those with a >= p
+    and t >= q.
+
+    The Fbar cycles, by rising level, go through one _Echelon seeded
+    with Im d, the t-th witnessed by {t: 1}; an F cycle reduced to 0
+    through it has its class in their basis as its witness, less the
+    entry -1.  These coordinates go by falling level a through a second
+    _Echelon; its rows have distinct leads, so a combination's lowest
+    column is the lowest lead it uses, and the cell of a row is a and
+    the level t of its lead.  Pair rows throughout when any row is one."""
+    V = _pairs(tc, 0)[1].get(k, [])
+    W = _pairs(tc, 1)[1].get(k, [])[::-1]
+    im = tc.im_d(k).rows
+    gaussian = any(map(_is_pairs, im)) or any(_is_pairs(z) for _, z in V + W)
+    one = (1, 0) if gaussian else 1
+
+    def row(r):
+        return _as_pairs(r) if gaussian else r
+
+    ech = _Echelon({next(iter(r)): row(r) for r in im})
+    for t, (b, z) in enumerate(W):
+        wit = {t: one}
+        if not (z := ech.reduce(row(z), wit)):
+            raise Inconsistent(f"Fbar cycles of level <= {b} are dependent in H^{k}")
+        c = min(z)
+        ech.pivots[c], ech.wits[c] = z, wit
+    if len(W) != (bk := tc.betti(k)):
+        raise Inconsistent(f"{len(W)} Fbar cycles in degree {k}, not b_{k} = {bk}")
+    coords, cells = _Echelon(), []
+    for a, z in V:
+        wit = {-1: one}
+        if ech.reduce(row(z), wit):
+            raise Inconsistent(f"a cycle of level {a} is outside the Fbar span in H^{k}")
+        del wit[-1]
+        if not (x := coords.reduce(wit)):
+            raise Inconsistent(f"cycles of level >= {a} are dependent in H^{k}")
+        c = min(x)
+        coords.pivots[c] = x
+        cells.append((a, W[c][0]))
+    # b_k cells have b_k distinct leads, so their t are the Fbar cycles' levels
+    if len(cells) != bk:
+        raise Inconsistent(f"{len(cells)} F cycles in degree {k}, not b_{k} = {bk}")
+    return cells
 
 
 def _compute_filtration(tc):
     table = FiltrationTable()
     for k in tc.degrees():
-        bk = tc.betti(k)
         blocks = tc.blocks(k)
         if not blocks:
             continue
         ps = sorted({pq[0] for pq, _, _ in blocks})
         qs = sorted({pq[1] for pq, _, _ in blocks})
-        h = _h_map(tc, k)
-
-        def coords(axis, levels):
-            hz = [(a, h(z)) for a, z in _pairs(tc, axis)[1].get(k, ())]
-            out = {}
-            for level in levels:
-                rows = [v for a, v in hz if a >= level]
-                if (S := _span(bk, rows)).dim != len(rows):
-                    raise Inconsistent(f"cycles of level >= {level} are dependent in H^{k}")
-                out[level] = S
-            return out
-
-        V = coords(0, range(ps[0], ps[-1] + 2))
-        W = coords(1, range(qs[0], qs[-1] + 2))
-        table.F.update({(p, k): V[p].dim for p in V})
-        table.Fbar.update({(q, k): W[q].dim for q in W})
-        VW = {(p, q): subspace_intersect(V[p], W[q]) for p in V for q in W}
+        cells = _cells(tc, k)
+        for p in range(ps[0], ps[-1] + 2):
+            table.F[(p, k)] = sum(a >= p for a, _ in cells)
+        for q in range(qs[0], qs[-1] + 2):
+            table.Fbar[(q, k)] = sum(t >= q for _, t in cells)
         for p in range(ps[0], ps[-1] + 1):
             for q in range(qs[0], qs[-1] + 1):
-                table.FcapFbar[(p, q, k)] = VW[(p, q)].dim
-                upper = subspace_sum(VW[(p + 1, q)], VW[(p, q + 1)])
-                r = VW[(p, q)].dim - upper.dim
-                if r:
-                    table.refined[(p, q, k)] = r
-
+                table.FcapFbar[(p, q, k)] = sum(a >= p and t >= q for a, t in cells)
+                if n := cells.count((p, q)):
+                    table.refined[(p, q, k)] = n
         # total filtration, descending in r = p + q
-        rs = range(ps[0] + qs[0], ps[-1] + qs[-1] + 2)
-        prev = zero_subspace(bk)  # Ftot^r for r beyond the top
-        for r in reversed(rs):
-            cur = prev
-            for p in V:
-                q = r - p
-                if q in W:
-                    cur = subspace_sum(cur, VW[(p, q)])
-            table.Ftot[(r, k)] = cur.dim
-            prev = cur
-        if bk:
-            refined_sum = sum(
-                v for (_, _, kk), v in table.refined.items() if kk == k
-            )
-            if table.Ftot[(rs[0], k)] != bk or refined_sum != bk:
-                raise Inconsistent(
-                    f"filtration of degree {k} does not exhaust H^{k}"
-                )
+        for r in reversed(range(ps[0] + qs[0], ps[-1] + qs[-1] + 2)):
+            table.Ftot[(r, k)] = sum(a + t >= r for a, t in cells)
     return table
 
 

@@ -3,8 +3,13 @@
 be bound on a fresh import of zzcalc, or the traced pass fails; this
 checks that without running the benchmark.  The import happens in a
 child process, so the test session's own zzcalc modules stay as they
-are."""
+are.
 
+A site is also the one reason a module may import a name from a sibling
+and not use it: every other such import is used, or re-exported through
+the module's __all__."""
+
+import ast
 import json
 import os
 import pathlib
@@ -43,3 +48,33 @@ def test_every_tracing_site_resolves():
     result = json.loads(done.stdout)
     assert result["sites"] > 0
     assert result["missing"] == []
+
+
+def assigned(tree, name):
+    """The literal value of the module-level assignment to name, if any."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    return ()
+
+
+def test_every_sibling_import_is_used():
+    """Each name a zzcalc module imports from a sibling is used in it,
+    listed in its __all__, or a tracing site; __init__ only re-exports."""
+    tracing = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    sites = {(where, attr) for where, attr, _ in assigned(tracing, "SITES")}
+    unused = []
+    for path in sorted((ROOT / "src" / "zzcalc").glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        kept = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        kept |= set(assigned(tree, "__all__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    if name not in kept and (path.stem, name) not in sites:
+                        unused.append(f"{path.stem}: {name}")
+    assert unused == []

@@ -241,6 +241,16 @@ class TestCheck:
         assert [row["verdict"] for row in obj] == ["holds"] * 3
         assert seen == ([] if expected is None else [expected])
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "--ddc", "--jobs", "-3"], ["validate", "--jobs", "0"],
+        ["validate", "--jobs", "x"],
+    ], ids=["check-negative", "validate-zero", "validate-text"])
+    def test_jobs_below_one_refused(self, capsys, hopf_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(argv + [hopf_path, hopf_path])
+        assert exc.value.code == 2
+        assert "argument --jobs:" in capsys.readouterr().err
+
     def test_internal_error_exit_three(self, capsys, monkeypatch,
                                        hopf_path):
         def boom(A):

@@ -5,16 +5,20 @@ Z_r^{p,q} = F^p ∩ d^{-1}(F^{p+r}) through a preimage and an
 intersection, cuts the Hodge filtrations out of Ker d by intersection,
 intersects them in the full degree-k ambient (each containing Im d),
 and reads the row spectral sequence as the column sequence of the
-transposed bicomplex.  The library route must give the same subspaces,
-pages and filtration tables, and its H^k coordinate map must kill Im d
-and have rank b_k on Ker d.
+transposed bicomplex.  The library route must give the same pages and
+filtration tables.
 
 The library reads Ker d ∩ F^p off the essential cycles of the pages'
-persistence pairing; the per-level kernel it replaced, `kerd_F`, is kept
-here, and the cycles of level >= p must be cycles in F^p that span it
-modulo Im d, with the same images in H^k.  The same oracle runs on the
-sums with del replaced by i*del, whose d has real, purely imaginary and
-genuinely complex columns.
+persistence pairing, and counts the filtration table on one basis of
+H^k adapted to both filtrations.  Two routes it replaced are kept here:
+`kerd_F`, the per-level kernel, and `lattice_filtration`, which maps the
+cycles into H^k coordinates through `h_map` and intersects and sums
+F^p and Fbar^q there.  `h_map` must kill Im d and have rank b_k on
+Ker d; the cycles of level >= p must be cycles in F^p that span
+Ker d ∩ F^p modulo Im d, with the same images in H^k.  The same oracle
+runs on sums whose classes have Fbar coordinates at several levels, and
+on the sums with del replaced by i*del, whose d has real, purely
+imaginary and genuinely complex columns.
 """
 
 import json
@@ -42,12 +46,15 @@ from zzcalc.linalg import (
     Scalar,
     Subspace,
     _kernel_rows,
+    _reduce,
+    _span,
     _subspace,
     apply_matrix,
     coordinate_subspace,
     preimage,
     subspace_intersect,
     subspace_sum,
+    zero_subspace,
 )
 from zzcalc.models import product_model, vaisman_model
 
@@ -201,6 +208,100 @@ def old_compute_filtration(tc):
     return table
 
 
+def h_map(tc, k):
+    """h_k: degree-k cocycles to Q(i)^{b_k}, with kernel exactly Im d,
+    on sparse integer rows.
+
+    A row is reduced modulo the reduced echelon basis of Im d and kept
+    on the columns that are not Im d pivots.  Ker d reduced the same way
+    has a reduced echelon basis of b_k rows, and a reduced cocycle's
+    entries at their pivot columns are its coordinates in that basis,
+    each times that row's pivot entry, so h_k maps the subspaces between
+    Im d and Ker d isomorphically, as a lattice, onto the subspaces of
+    Q(i)^{b_k}.  Each image comes out up to a nonzero factor, which no
+    span notices.
+    """
+    im = tc.im_d(k).rows
+    pivots = {next(iter(row)) for row in im}
+    free = {j: t for t, j in enumerate(j for j in range(tc.dim(k)) if j not in pivots)}
+
+    def reduce(v):
+        # every Im d pivot column is cleared, so each column left is free
+        return {free[j]: x for j, x in _reduce(im, v).items()}
+
+    quo = _span(len(free), [reduce(v) for v in tc.ker_d(k).rows])
+    if quo.dim != tc.betti(k):
+        raise Inconsistent(
+            f"H^{k} coordinates have rank {quo.dim} on Ker d, not b_{k} = {tc.betti(k)}"
+        )
+    cols = {next(iter(row)): t for t, row in enumerate(quo.rows)}
+
+    def h(v):
+        return {cols[j]: x for j, x in reduce(v).items() if j in cols}
+
+    return h
+
+
+def lattice_filtration(tc):
+    """The filtration in H^k coordinates: V[p] and W[q] are subspaces of
+    Q(i)^{b_k} through h_map, every V[p] ∩ W[q] a Zassenhaus
+    intersection, and the refined and total tables sums of those.  This
+    was the library route before the filtration counted cells."""
+    table = FiltrationTable()
+    for k in tc.degrees():
+        bk = tc.betti(k)
+        blocks = tc.blocks(k)
+        if not blocks:
+            continue
+        ps = sorted({pq[0] for pq, _, _ in blocks})
+        qs = sorted({pq[1] for pq, _, _ in blocks})
+        h = h_map(tc, k)
+
+        def coords(axis, levels):
+            hz = [(a, h(z)) for a, z in functors._pairs(tc, axis)[1].get(k, ())]
+            out = {}
+            for level in levels:
+                rows = [v for a, v in hz if a >= level]
+                if (S := _span(bk, rows)).dim != len(rows):
+                    raise Inconsistent(f"cycles of level >= {level} are dependent in H^{k}")
+                out[level] = S
+            return out
+
+        V = coords(0, range(ps[0], ps[-1] + 2))
+        W = coords(1, range(qs[0], qs[-1] + 2))
+        table.F.update({(p, k): V[p].dim for p in V})
+        table.Fbar.update({(q, k): W[q].dim for q in W})
+        VW = {(p, q): subspace_intersect(V[p], W[q]) for p in V for q in W}
+        for p in range(ps[0], ps[-1] + 1):
+            for q in range(qs[0], qs[-1] + 1):
+                table.FcapFbar[(p, q, k)] = VW[(p, q)].dim
+                upper = subspace_sum(VW[(p + 1, q)], VW[(p, q + 1)])
+                r = VW[(p, q)].dim - upper.dim
+                if r:
+                    table.refined[(p, q, k)] = r
+
+        # total filtration, descending in r = p + q
+        rs = range(ps[0] + qs[0], ps[-1] + qs[-1] + 2)
+        prev = zero_subspace(bk)  # Ftot^r for r beyond the top
+        for r in reversed(rs):
+            cur = prev
+            for p in V:
+                q = r - p
+                if q in W:
+                    cur = subspace_sum(cur, VW[(p, q)])
+            table.Ftot[(r, k)] = cur.dim
+            prev = cur
+        if bk:
+            refined_sum = sum(
+                v for (_, _, kk), v in table.refined.items() if kk == k
+            )
+            if table.Ftot[(rs[0], k)] != bk or refined_sum != bk:
+                raise Inconsistent(
+                    f"filtration of degree {k} does not exhaust H^{k}"
+                )
+    return table
+
+
 def dense(row, n):
     """A sparse integer row as n entries the Subspace constructor takes."""
     return [Scalar(*v) if isinstance(v, tuple) else v
@@ -210,7 +311,7 @@ def dense(row, n):
 def assert_h_map(tc):
     """h_k kills Im d and has rank b_k on Ker d, in every degree."""
     for k in tc.degrees():
-        h, bk = functors._h_map(tc, k), tc.betti(k)
+        h, bk = h_map(tc, k), tc.betti(k)
         assert not any(h(v) for v in tc.im_d(k).rows), k
         images = [h(v) for v in tc.ker_d(k).rows]
         assert all(0 <= j < bk for x in images for j in x), k
@@ -227,7 +328,7 @@ def assert_cycles_agree(tc):
     modulo Im d, and have the same images in H^k as the replaced route,
     itself equal to the intersection route."""
     for k in tc.degrees():
-        n, bk, h, im = tc.dim(k), tc.betti(k), functors._h_map(tc, k), tc.im_d(k)
+        n, bk, h, im = tc.dim(k), tc.betti(k), h_map(tc, k), tc.im_d(k)
         for axis in (0, 1):
             cycles = functors._pairs(tc, axis)[1].get(k, [])
             assert len(cycles) == bk, (k, axis)
@@ -249,7 +350,9 @@ def assert_filtrations_agree(A):
     tc = TotalComplex(A)
     assert_cycles_agree(tc)
     assert_h_map(tc)
-    assert hodge_filtration(tc) == old_compute_filtration(TotalComplex(A))
+    table = hodge_filtration(tc)
+    assert table == old_compute_filtration(TotalComplex(A))
+    assert table == lattice_filtration(TotalComplex(A))
 
 
 def scrambled_sums(count, seed=20261018):
@@ -297,6 +400,34 @@ def test_padded_product_filtration():
     assert_filtrations_agree(P)
 
 
+def mixes(A):
+    """Whether the class of some F cycle has coordinates on the Fbar
+    cycles at two levels or more: its cell depends on which lead names
+    it, and the second echelon has work to do."""
+    tc = TotalComplex(A)
+    for k in tc.degrees():
+        h, bk = h_map(tc, k), tc.betti(k)
+        W = functors._pairs(tc, 1)[1].get(k, [])
+        for _, z in functors._pairs(tc, 0)[1].get(k, []):
+            v = dense(h(z), bk)
+            q = max(b for b, _ in W if span(bk, [h(w) for c, w in W if c >= b]).contains(v))
+            if not span(bk, [h(w) for c, w in W if c == q]).contains(v):
+                return True
+    return False
+
+
+MIXED = [A for A in scrambled_sums(40, seed=1) if mixes(A)]
+
+
+def test_some_sums_mix_fbar_levels():
+    assert len(MIXED) >= 2
+
+
+@pytest.mark.parametrize("A", MIXED, ids=[f"mixed{i}" for i in range(len(MIXED))])
+def test_mixed_sums(A):
+    assert_filtrations_agree(A)
+
+
 VAISMAN = [
     (1, {(0, 0): 1}),
     (2, {(0, 0): 1, (1, 0): 2, (0, 1): 2}),
@@ -339,27 +470,35 @@ def test_gaussian_columns(A):
     assert hodge_filtration(G) == hodge_filtration(A)
 
 
-def test_dependent_cycles_are_inconsistent():
-    """Each set of cycles of level >= p must stay independent in H^k."""
+@pytest.mark.parametrize("axis, drop", [(0, False), (1, False), (1, True)],
+                         ids=["axis0", "axis1", "axis1-dropped"])
+def test_dependent_cycles_are_inconsistent(axis, drop):
+    """The cycles of each axis must stay independent in H^k, and be b_k
+    many: a repeated one is caught on either axis, each of which plays
+    its own role, and a dropped one by the count against b_k."""
     tc = TotalComplex(SUMS[1])
-    cycles = functors._pairs(tc, 0)[1]
+    cycles = functors._pairs(tc, axis)[1]
     k = next(k for k, zs in sorted(cycles.items()) if zs)
-    cycles[k].append(cycles[k][0])
-    with pytest.raises(Inconsistent, match=f"dependent in H\\^{k}"):
+    if drop:
+        cycles[k].pop()
+        match = f"not b_{k} = {tc.betti(k)}"
+    else:
+        cycles[k].append(cycles[k][0])
+        match = f"dependent in H\\^{k}"
+    with pytest.raises(Inconsistent, match=match):
         hodge_filtration(tc)
 
 
-def test_filtration_intersects_in_cohomology_coordinates(monkeypatch):
+def test_filtration_makes_no_lattice_call(monkeypatch):
     seen = []
-    intersect = functors.subspace_intersect
 
-    def recorded(U, V):
-        seen.append(U.ambient_dim)
-        return intersect(U, V)
+    def recorded(name, f):
+        def call(*args):
+            seen.append(name)
+            return f(*args)
+        return call
 
-    monkeypatch.setattr(functors, "subspace_intersect", recorded)
-    tc = TotalComplex(SUMS[1])
-    hodge_filtration(tc)
-    assert seen
-    # sum1 has degree widths up to 10 and Betti numbers up to 2
-    assert set(seen) <= {tc.betti(k) for k in tc.degrees()}
+    for name in ("subspace_intersect", "subspace_sum"):
+        monkeypatch.setattr(functors, name, recorded(name, getattr(functors, name)))
+    hodge_filtration(SUMS[1])
+    assert seen == []
