@@ -19,7 +19,6 @@ from .errors import (
     InvalidShape,
     NoPoincareDuality,
     NotABicomplex,
-    NotASubspace,
     NotStabilized,
     ShapeMismatch,
     UnknownPreset,

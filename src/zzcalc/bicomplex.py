@@ -41,17 +41,9 @@ __all__ = [
     "dot_shape",
     "square_shape",
     "zigzag_shape",
-    "shape_entries",
-    "shape_arrows",
-    "shape_from_entries",
-    "shape_local_dims",
     "shape_degree_span",
     "shape_to_json",
-    "shape_from_json",
     "validate",
-    "make_dot",
-    "make_square",
-    "make_zigzag",
     "realize_shape",
     "direct_sum",
     "shift",
@@ -60,7 +52,6 @@ __all__ = [
     "scramble",
     "transpose_bicomplex",
     "degree_blocks",
-    "degree_dim",
     "total_d",
     "dc",
     "to_json",
@@ -156,7 +147,7 @@ def zigzag_shape(anchor, length, first_arrow):
     )
 
 
-def shape_entries(s):
+def _shape_entries(s):
     """The ordered entry walk of a shape.
 
     For squares the order is (p,q), (p+1,q), (p,q+1), (p+1,q+1).
@@ -187,11 +178,11 @@ def shape_entries(s):
     return out
 
 
-def shape_arrows(s):
-    """Arrows as (source_index, target_index, which) into shape_entries.
+def _shape_arrows(s):
+    """Arrows as (source_index, target_index, which) into _shape_entries.
 
     which is 'del' for the horizontal differential and 'delbar' for the
-    vertical one.  Sign conventions live in the constructors, not here.
+    vertical one.  Sign conventions live in realize_shape, not here.
     """
     if s.kind == "dot":
         return []
@@ -214,50 +205,9 @@ def shape_arrows(s):
     return arrows
 
 
-def shape_from_entries(entries):
-    """Rebuild the canonical shape from an entry collection.
-
-    Inverse of shape_entries up to ordering; the arrows of a zigzag are
-    forced by its entry set.
-    """
-    ents = set(map(tuple, entries))
-    if not ents:
-        raise InvalidShape("empty entry set")
-    n = len(ents)
-    degs = sorted({p + q for p, q in ents})
-    if n == 1:
-        (a, b), = ents
-        return dot_shape(a, b)
-    if len(degs) == 3:
-        # only squares span three total degrees
-        a = min(p for p, _ in ents)
-        b = min(q for _, q in ents)
-        if ents != {(a, b), (a + 1, b), (a, b + 1), (a + 1, b + 1)} or n != 4:
-            raise InvalidShape(f"entries {sorted(ents)} form no known shape")
-        return square_shape(a, b)
-    if len(degs) != 2 or degs[1] - degs[0] != 1:
-        raise InvalidShape(f"entries {sorted(ents)} form no known shape")
-    lower = sorted((pq for pq in ents if pq[0] + pq[1] == degs[0]))
-    anchor = lower[0]
-    a, b = anchor
-    first = "vertical" if (a, b + 1) in ents else "horizontal"
-    s = zigzag_shape(anchor, n, first)
-    if set(shape_entries(s)) != ents:
-        raise InvalidShape(f"entries {sorted(ents)} form no staircase")
-    return s
-
-
-def shape_local_dims(s):
-    """Map bidegree -> how many basis elements the shape puts there."""
-    out = {}
-    for e in shape_entries(s):
-        out[e] = out.get(e, 0) + 1
-    return out
-
-
 def shape_degree_span(s):
     """(min, max) total degree occupied by the shape."""
-    degs = [p + q for p, q in shape_entries(s)]
+    degs = [p + q for p, q in _shape_entries(s)]
     return min(degs), max(degs)
 
 
@@ -267,27 +217,6 @@ def shape_to_json(s):
         obj["first_arrow"] = s.first_arrow
         obj["orientation"] = s.orientation
     return obj
-
-
-def shape_from_json(obj):
-    try:
-        kind = obj["kind"]
-        anchor = _parse_pq(obj["anchor"])
-    except (KeyError, TypeError) as exc:
-        raise InvalidShape(f"bad shape object {obj!r}") from exc
-    if kind == "dot":
-        return dot_shape(*anchor)
-    if kind == "square":
-        return square_shape(*anchor)
-    if kind == "zigzag":
-        return ZigzagShape(
-            "zigzag",
-            anchor,
-            obj.get("length"),
-            obj.get("first_arrow"),
-            obj.get("orientation"),
-        )
-    raise InvalidShape(f"unknown kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +272,8 @@ class MultiplicityTable:
         """Pointwise dimension budget: bidegree -> total dimension."""
         dims = {}
         for shape, mult in self.entries.items():
-            for pq, d in shape_local_dims(shape).items():
-                dims[pq] = dims.get(pq, 0) + mult * d
+            for pq in _shape_entries(shape):
+                dims[pq] = dims.get(pq, 0) + mult
         return dims
 
     def to_json(self):
@@ -352,14 +281,6 @@ class MultiplicityTable:
         for shape, mult in sorted(self.entries.items()):
             rows.append({"shape": shape_to_json(shape), "multiplicity": mult})
         return rows
-
-    @staticmethod
-    def from_json(rows):
-        entries = {}
-        for row in rows:
-            shape = shape_from_json(row["shape"])
-            entries[shape] = entries.get(shape, 0) + int(row["multiplicity"])
-        return MultiplicityTable(entries)
 
     def __repr__(self):
         return f"MultiplicityTable({len(self.entries)} shapes)"
@@ -494,43 +415,25 @@ def validate(A):
 # Constructors for indecomposables
 
 
-def make_dot(pq):
-    return Bicomplex({tuple(pq): 1})
-
-
-def make_square(pq):
-    """Four corners of isomorphisms; the top del carries the -1 so that
-    del*delbar + delbar*del = 0."""
-    p, q = pq
-    spaces = {(p, q): 1, (p + 1, q): 1, (p, q + 1): 1, (p + 1, q + 1): 1}
-    neg = Matrix([[-1]])
-    one = Matrix([[1]])
-    return Bicomplex(
-        spaces,
-        del_maps={(p, q): one, (p, q + 1): neg},
-        delbar_maps={(p, q): one, (p + 1, q): one},
-    )
-
-
-def make_zigzag(s):
-    """Realize a zigzag shape with 1-dimensional entries and unit arrows."""
-    if not isinstance(s, ZigzagShape):
-        raise InvalidShape(f"expected a ZigzagShape, got {s!r}")
-    return realize_shape(s)
-
-
 def realize_shape(s):
-    """Realize any shape (dot, square, or zigzag)."""
+    """Realize a shape with 1-dimensional entries and unit arrows; a
+    square's top del carries the -1 so that del*delbar + delbar*del = 0."""
     if s.kind == "dot":
-        return make_dot(s.anchor)
-    if s.kind == "square":
-        return make_square(s.anchor)
-    ents = shape_entries(s)
-    spaces = {e: 1 for e in ents}
+        return Bicomplex({s.anchor: 1})
     one = Matrix([[1]])
+    if s.kind == "square":
+        p, q = s.anchor
+        spaces = {(p, q): 1, (p + 1, q): 1, (p, q + 1): 1, (p + 1, q + 1): 1}
+        return Bicomplex(
+            spaces,
+            del_maps={(p, q): one, (p, q + 1): Matrix([[-1]])},
+            delbar_maps={(p, q): one, (p + 1, q): one},
+        )
+    ents = _shape_entries(s)
+    spaces = {e: 1 for e in ents}
     del_maps = {}
     delbar_maps = {}
-    for si, ti, which in shape_arrows(s):
+    for si, ti, which in _shape_arrows(s):
         src, tgt = ents[si], ents[ti]
         if which == "del":
             del_maps[src] = one
@@ -780,7 +683,7 @@ def degree_blocks(A, k):
     return blocks
 
 
-def degree_dim(A, k):
+def _degree_dim(A, k):
     return sum(d for _, _, d in degree_blocks(A, k))
 
 
@@ -797,7 +700,7 @@ def _assemble(A, k, unit_del, unit_delbar):
         ):
             if mat is not None and tpq in tgt_pos:
                 blocks.append((tgt_pos[tpq], off, mat, unit))
-    return _block_matrix(degree_dim(A, k + 1), degree_dim(A, k), blocks)
+    return _block_matrix(_degree_dim(A, k + 1), _degree_dim(A, k), blocks)
 
 
 def total_d(A, k):

@@ -650,9 +650,6 @@ class CohomologyRing:
             if b:
                 self.dims[k] = b
 
-    def betti(self, k):
-        return self._eng.betti(k)
-
     def representatives(self, k):
         eng = self._eng
         return [

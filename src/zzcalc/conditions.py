@@ -11,14 +11,16 @@ pieces, treating a quotient as a numerator/denominator pair:
     n1_k         = dim(Ker d ^ Ker dc)^k - dim(d Ker dc)^k
     n3_k         = dim d^{-1}(Im dc)^k - dim(Im d + Im dc)^k
     rank delta_k = dim(Im d ^ Im dc + d Ker dc)^{k+1} - dim(d Ker dc)^{k+1}
-    Ker(i+pi)_k  = (Kd ^ Im d ^ Im dc + dK)/dK,  Kd = Ker d ^ Ker dc
+    Ker(i+pi)_k  = (Im d ^ Im dc + dK)/dK,  dK = d Ker dc
     rank(p-j)_k  = dim(Ker d + Ker dc)^k - dim(Im d + Im dc)^k
 
 (delta sends [a] to [da], which lands in Ker dc because d(Ker dc) and
 Im dc both sit inside Ker dc; p-j is onto the span of the d- and
 dc-cohomology classes.)  Exactness is then double-checked by
 bookkeeping: the rank of each map must equal the dimension of its
-source minus the rank of the map before it.
+source minus the rank of the map before it.  Im d ^ Im dc lies in
+Ker d ^ Ker dc, so Ker(i+pi)_k is the numerator of rank delta_{k-1}
+over the same dK, and the check on i+pi holds by construction.
 
 The ddc and ddc+3 verdicts are decided by several routes that theorems
 declare equivalent; the routes are always all evaluated and compared.
@@ -90,9 +92,6 @@ class LesReport:
     def degrees(self):
         return sorted(self.rows)
 
-    def delta_ranks(self):
-        return {k: r.rank_delta for k, r in self.rows.items() if r.rank_delta}
-
 
 def _kd_cap_imd(tc, k):
     return tc._get(
@@ -119,14 +118,13 @@ def les(A):
     rows = {}
     for k in tc.degrees():
         n1 = tc.h_ker_dc(k)
-        joint = subspace_intersect(tc.kerd_cap_kerdc(k), tc.imd_cap_imdc(k))
         rows[k] = LesRow(
             h_ker_dc=n1,
             betti=tc.betti(k),
             h_dc=tc.h_dc(k),
             h_coim_dc=tc.h_coim_dc(k),
             rank_delta=_mod_dim(tc.imd_cap_imdc(k + 1), tc.d_ker_dc(k + 1)),
-            rank_incl=n1 - _mod_dim(joint, tc.d_ker_dc(k)),
+            rank_incl=n1 - _mod_dim(tc.imd_cap_imdc(k), tc.d_ker_dc(k)),
             rank_proj=subspace_sum(tc.ker_d(k), tc.ker_dc(k)).dim
             - tc.imd_plus_imdc(k).dim,
         )

@@ -41,21 +41,7 @@ __all__ = [
     "multiplicities",
     "e1_isomorphic",
     "realize",
-    "even_zigzag_rule",
 ]
-
-
-def even_zigzag_rule(length, first_arrow):
-    """Where the rank-1 page differential of an even zigzag sits.
-
-    Returns (which_sequence, page_r, anchor_offset): the zigzag of the
-    given length anchored at (a,b) contributes rank 1 to the d_r of
-    that sequence out of position (a,b) + anchor_offset.
-    """
-    r = length // 2
-    if first_arrow == "horizontal":
-        return ("column", r, (0, 0))
-    return ("row", r, (r - 1, -r + 1))
 
 
 def _square_counts(A):

@@ -49,11 +49,8 @@ class InvalidShape(InputError):
 
 
 class AmbientMismatch(InputError):
-    """Subspace operation on spaces with different ambient dimensions."""
-
-
-class NotASubspace(InputError):
-    """A claimed inclusion U <= V does not hold."""
+    """A vector or subspace whose ambient dimension does not match the
+    operation's (a Subspace basis vector of the wrong length included)."""
 
 
 class NoPoincareDuality(InputError):
@@ -69,7 +66,10 @@ class InternalError(ZZError):
 
 
 class Inconsistent(InternalError):
-    """The multiplicity-table dimension audit failed."""
+    """An internal audit failed: the multiplicity-table dimension count,
+    a Hodge filtration cell count, the dimension chain or its equality
+    cases, the ddc+3 witness search, or a cdga check (a tower map, a
+    solved combination, d_j^k against r_j^k)."""
 
 
 class CharacterizationMismatch(InternalError):

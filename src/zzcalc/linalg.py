@@ -40,23 +40,19 @@ import re as _re
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import AmbientMismatch, InvalidInput, NotASubspace
+from .errors import AmbientMismatch, InvalidInput
 
 __all__ = [
     "Scalar",
     "Matrix",
     "Subspace",
     "rank",
-    "rref",
     "kernel_basis",
     "image_basis",
     "subspace_sum",
     "subspace_intersect",
-    "subspace_quotient_dim",
-    "contains",
     "preimage",
     "apply_matrix",
-    "coordinate_subspace",
     "zero_subspace",
     "full_subspace",
 ]
@@ -739,14 +735,6 @@ class Matrix:
     def transpose(self):
         return Matrix._of(self.cols, self.rows, self.den, self._columns())
 
-    def apply(self, vec):
-        """Multiply by a column vector given as a sequence of Scalars."""
-        if len(vec) != self.cols:
-            raise InvalidInput("vector length mismatch")
-        den, (row,) = _rows_of([vec])
-        (out,) = _product([row], self._columns())
-        return tuple(_scalars(out, self.rows, self.den * den))
-
     def to_json(self):
         out = []
         den = self.den
@@ -797,18 +785,6 @@ def _kron(A, B):
     return Matrix._of(A.rows * B.rows, A.cols * B.cols, A.den * B.den, out)
 
 
-def rref(M):
-    """Reduced row echelon form of a Matrix and its pivot columns."""
-    ech = _echelon(M.sparse)
-    pivots = [next(iter(r)) for r in ech]
-    dens = [r[p][0] if _is_pairs(r) else r[p] for r, p in zip(ech, pivots)]
-    den = lcm(*dens) if dens else 1
-    return (
-        Matrix._of(len(ech), M.cols, den, [_scale(r, den // d) for r, d in zip(ech, dens)]),
-        pivots,
-    )
-
-
 def rank(M):
     """Exact rank.
 
@@ -836,6 +812,12 @@ class Subspace:
     __slots__ = ("ambient_dim", "rows", "_basis")
 
     def __init__(self, ambient_dim, basis=()):
+        basis = list(basis)
+        for v in basis:
+            if len(v) != ambient_dim:
+                raise AmbientMismatch(
+                    f"vector of length {len(v)} in ambient dimension {ambient_dim}"
+                )
         _init_subspace(self, ambient_dim, _echelon(_rows_of(basis)[1]))
 
     def __setattr__(self, name, value):
@@ -843,15 +825,6 @@ class Subspace:
 
     def __reduce__(self):
         return _subspace, (self.ambient_dim, self.rows)
-
-    @staticmethod
-    def from_vectors(ambient_dim, vectors):
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise AmbientMismatch(
-                    f"vector of length {len(v)} in ambient dimension {ambient_dim}"
-                )
-        return Subspace(ambient_dim, vectors)
 
     @property
     def basis(self):
@@ -874,9 +847,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
-
-    def contains(self, vec):
-        return contains(self, vec)
 
     def contains_subspace(self, other):
         if other.ambient_dim != self.ambient_dim:
@@ -915,15 +885,6 @@ def full_subspace(n):
     return _subspace(n, [{i: 1} for i in range(n)])
 
 
-def coordinate_subspace(ambient_dim, indices):
-    """Span of the given standard basis vectors."""
-    idx = sorted(set(indices))
-    for i in idx:
-        if not 0 <= i < ambient_dim:
-            raise AmbientMismatch(f"coordinate {i} outside ambient {ambient_dim}")
-    return _subspace(ambient_dim, [{i: 1} for i in idx])
-
-
 def kernel_basis(M):
     """Canonical kernel subspace; dim kernel + rank = cols.
 
@@ -960,24 +921,6 @@ def subspace_intersect(U, V):
     stacked = [{**u, **{k + n: x for k, x in u.items()}} for u in U.rows]
     ech = _echelon(stacked + V.rows)
     return _subspace(n, [{k - n: x for k, x in r.items()} for r in ech if next(iter(r)) >= n])
-
-
-def subspace_quotient_dim(sub, sup):
-    """dim(sup / sub); verifies sub is contained in sup."""
-    if sub.ambient_dim != sup.ambient_dim:
-        raise AmbientMismatch("ambient dimensions differ")
-    if not sup.contains_subspace(sub):
-        raise NotASubspace("first argument is not contained in the second")
-    return sup.dim - sub.dim
-
-
-def contains(U, vec):
-    """Membership test by reduction against the echelon basis."""
-    if len(vec) != U.ambient_dim:
-        raise AmbientMismatch(
-            f"vector of length {len(vec)} in ambient dimension {U.ambient_dim}"
-        )
-    return not _reduce(U.rows, _rows_of([vec])[1][0])
 
 
 def apply_matrix(M, U):

@@ -24,13 +24,13 @@ import time
 
 from zzcalc.bicomplex import (
     MultiplicityTable,
+    _shape_entries,
     direct_sum,
     dot_shape,
     dual,
     realize_shape,
     scramble,
     shape_degree_span,
-    shape_entries,
     square_shape,
     zigzag_shape,
 )
@@ -475,7 +475,7 @@ def window_shape(rng, n):
             length = rng.choice(range(3, 2 * n + 2, 2))
             a = (rng.randint(0, n), rng.randint(0, n))
             s = zigzag_shape(a, length, rng.choice(("horizontal", "vertical")))
-            entries = set(shape_entries(s))
+            entries = set(_shape_entries(s))
             inside = all(0 <= p <= n and 0 <= q <= n for p, q in entries)
             if inside and not (entries & corners):
                 return s

@@ -10,6 +10,7 @@ and not use it: every other such import is used, or re-exported through
 the module's __all__."""
 
 import ast
+import importlib
 import json
 import os
 import pathlib
@@ -78,3 +79,16 @@ def test_every_sibling_import_is_used():
                     if name not in kept and (path.stem, name) not in sites:
                         unused.append(f"{path.stem}: {name}")
     assert unused == []
+
+
+def test_every_all_entry_is_bound():
+    """Each name in a zzcalc module's __all__ is bound in that module: a
+    stale entry breaks `import *` and would pass an unused sibling import
+    off as an export."""
+    stale = []
+    for path in sorted((ROOT / "src" / "zzcalc").glob("*.py")):
+        module = importlib.import_module(
+            "zzcalc" if path.stem == "__init__" else f"zzcalc.{path.stem}")
+        stale += [f"{path.stem}: {name}" for name in getattr(module, "__all__", ())
+                  if not hasattr(module, name)]
+    assert stale == []

@@ -25,12 +25,11 @@ from zzcalc import cli
 from zzcalc.bicomplex import (
     MultiplicityTable,
     direct_sum,
+    dot_shape,
     dual,
     dumps,
     from_json,
-    make_dot,
-    make_square,
-    make_zigzag,
+    realize_shape,
     scramble,
     square_shape,
     zigzag_shape,
@@ -661,8 +660,8 @@ def test_pipe_build_into_check(capsys, monkeypatch):
 # Fuzzed bicomplex JSON: every mutation is either computed on or refused.
 
 def _fuzz_base():
-    A = direct_sum(make_square((0, 0)), make_dot((2, 0)))
-    A = direct_sum(A, make_zigzag(zigzag_shape((0, 1), 3, "horizontal")))
+    A = direct_sum(realize_shape(square_shape(0, 0)), realize_shape(dot_shape(2, 0)))
+    A = direct_sum(A, realize_shape(zigzag_shape((0, 1), 3, "horizontal")))
     obj = json.loads(dumps(A))
     obj["labels"] = {key: [f"e{key}_{i}" for i in range(dim)]
                      for key, dim in obj["spaces"].items()}

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 from zzcalc.bicomplex import (
     Bicomplex,
     direct_sum,
+    dot_shape,
     dual,
-    make_dot,
-    make_square,
-    make_zigzag,
     realize_shape,
     scramble,
+    square_shape,
     transpose_bicomplex,
     zigzag_shape,
 )
@@ -44,8 +43,8 @@ from test_filtration_oracle import scrambled_sums
 # two length-2 zigzags into one bidegree: Im del and Im delbar there are
 # distinct lines, so only [del | delbar] side by side has rank 2
 BIGRADED_SUMS = scrambled_sums(8, seed=20261020) + [scramble(direct_sum(
-    make_zigzag(zigzag_shape((0, 1), 2, "horizontal")),
-    make_zigzag(zigzag_shape((1, 0), 2, "vertical"))), 3)]
+    realize_shape(zigzag_shape((0, 1), 2, "horizontal")),
+    realize_shape(zigzag_shape((1, 0), 2, "vertical"))), 3)]
 
 
 OUT_L = zigzag_shape((0, 0), 3, "vertical")
@@ -54,7 +53,7 @@ REV_L = zigzag_shape((0, 1), 3, "horizontal")
 
 class TestSingleShapes:
     def test_dot_has_everything_in_one_spot(self):
-        A = make_dot((1, 1))
+        A = realize_shape(dot_shape(1, 1))
         assert betti(A) == {2: 1}
         for f in ("dolbeault", "conj_dolbeault", "bott_chern", "aeppli"):
             assert cohomology(A, f).dims == {(1, 1): 1}
@@ -64,32 +63,32 @@ class TestSingleShapes:
             assert cohomology(A, f).dims == {}
 
     def test_square_is_invisible_to_every_functor(self):
-        A = make_square((0, 0))
+        A = realize_shape(square_shape(0, 0))
         for f in FUNCTORS:
             assert cohomology(A, f).dims == {}, f
 
     def test_outgoing_l(self):
         # the quotient complex is an isomorphism, the kernel sits on top
-        A = make_zigzag(OUT_L)
+        A = realize_shape(OUT_L)
         assert betti(A) == {1: 1}
         assert cohomology(A, "ker_dc").dims == {1: 2}
         assert cohomology(A, "coim_dc").dims == {}
 
     def test_incoming_l(self):
-        A = make_zigzag(REV_L)
+        A = realize_shape(REV_L)
         assert betti(A) == {1: 1}
         assert cohomology(A, "ker_dc").dims == {}
         assert cohomology(A, "coim_dc").dims == {1: 2}
 
     def test_incoming_length5_per_figure_row(self):
         # lower-diagonal entries (1,2),(2,1),(3,0); m = 2
-        A = make_zigzag(zigzag_shape((1, 2), 5, "horizontal"))
+        A = realize_shape(zigzag_shape((1, 2), 5, "horizontal"))
         assert cohomology(A, "coim_dc").dims == {3: 3}
         assert cohomology(A, "ker_dc").dims == {4: 1}
 
     def test_outgoing_length5_per_figure_row(self):
         # lower degree 2, upper degree 3; m = 2
-        A = make_zigzag(zigzag_shape((0, 2), 5, "vertical"))
+        A = realize_shape(zigzag_shape((0, 2), 5, "vertical"))
         assert cohomology(A, "ker_dc").dims == {3: 3}
         assert cohomology(A, "coim_dc").dims == {2: 1}
 
@@ -102,13 +101,13 @@ class TestKerCoimOnLs:
     """
 
     def test_outgoing_l_term_dims(self):
-        A = make_zigzag(OUT_L)
+        A = realize_shape(OUT_L)
         tc = TotalComplex(A)
         assert [tc.ker_dc(k).dim for k in (0, 1)] == [0, 2]
         assert [tc.dim(k) - tc.im_dc(k).dim for k in (0, 1)] == [1, 1]
 
     def test_incoming_l_term_dims(self):
-        A = make_zigzag(REV_L)
+        A = realize_shape(REV_L)
         tc = TotalComplex(A)
         assert [tc.ker_dc(k).dim for k in (1, 2)] == [1, 1]
         assert [tc.dim(k) - tc.im_dc(k).dim for k in (1, 2)] == [2, 0]
@@ -116,25 +115,25 @@ class TestKerCoimOnLs:
 
 class TestRefinedBetti:
     def test_dot(self):
-        assert refined_betti(make_dot((2, 3))) == {(2, 3, 5): 1}
+        assert refined_betti(realize_shape(dot_shape(2, 3))) == {(2, 3, 5): 1}
 
     def test_square(self):
-        assert refined_betti(make_square((1, 1))) == {}
+        assert refined_betti(realize_shape(square_shape(1, 1))) == {}
 
     def test_incoming_length5_class_sits_at_extreme_levels(self):
-        A = make_zigzag(zigzag_shape((1, 2), 5, "horizontal"))
+        A = realize_shape(zigzag_shape((1, 2), 5, "horizontal"))
         assert refined_betti(A) == {(1, 0, 3): 1}
 
     def test_outgoing_length5_class_sits_at_extreme_levels(self):
-        A = make_zigzag(zigzag_shape((0, 2), 5, "vertical"))
+        A = realize_shape(zigzag_shape((0, 2), 5, "vertical"))
         assert refined_betti(A) == {(2, 3, 3): 1}
 
     def test_ls_are_off_pure_by_one(self):
-        assert refined_betti(make_zigzag(OUT_L)) == {(1, 1, 1): 1}
-        assert refined_betti(make_zigzag(REV_L)) == {(0, 0, 1): 1}
+        assert refined_betti(realize_shape(OUT_L)) == {(1, 1, 1): 1}
+        assert refined_betti(realize_shape(REV_L)) == {(0, 0, 1): 1}
 
     def test_filtration_is_descending(self):
-        A = direct_sum(make_zigzag(OUT_L), make_dot((1, 0)))
+        A = direct_sum(realize_shape(OUT_L), realize_shape(dot_shape(1, 0)))
         t = hodge_filtration(A)
         ps = sorted(p for (p, k) in t.F if k == 1)
         dims = [t.F[(p, 1)] for p in ps]
@@ -144,27 +143,27 @@ class TestRefinedBetti:
 
 class TestSpectralPages:
     def test_del_line_column_sequence(self):
-        A = make_zigzag(zigzag_shape((0, 0), 2, "horizontal"))
+        A = realize_shape(zigzag_shape((0, 0), 2, "horizontal"))
         p1 = spectral_page(A, "column", 1)
         assert p1.dims == {(0, 0): 1, (1, 0): 1}
         assert p1.d_ranks == {(0, 0): 1}
         assert spectral_page(A, "column", 2).dims == {}
 
     def test_delbar_line_column_vs_row(self):
-        A = make_zigzag(zigzag_shape((0, 0), 2, "vertical"))
+        A = realize_shape(zigzag_shape((0, 0), 2, "vertical"))
         assert spectral_page(A, "column", 1).dims == {}
         r1 = spectral_page(A, "row", 1)
         assert r1.dims == {(0, 0): 1, (0, 1): 1}
         assert r1.d_ranks == {(0, 0): 1}
 
     def test_square_has_empty_first_pages(self):
-        A = make_square((0, 0))
+        A = realize_shape(square_shape(0, 0))
         assert spectral_page(A, "column", 1).dims == {}
         assert spectral_page(A, "row", 1).dims == {}
 
     def test_length_four_zigzag_survives_to_page_two(self):
         # horizontal-first length 4: d_1 vanishes, a d_2 of rank 1 remains
-        A = make_zigzag(zigzag_shape((0, 0), 4, "horizontal"))
+        A = realize_shape(zigzag_shape((0, 0), 4, "horizontal"))
         p1 = spectral_page(A, "column", 1)
         assert p1.d_ranks == {}
         assert sum(p1.dims.values()) == 2
@@ -174,22 +173,22 @@ class TestSpectralPages:
 
     def test_page_index_validated(self):
         with pytest.raises(InvalidInput):
-            spectral_page(make_dot((0, 0)), "column", 0)
+            spectral_page(realize_shape(dot_shape(0, 0)), "column", 0)
         with pytest.raises(InvalidInput):
-            spectral_page(make_dot((0, 0)), "diagonal", 1)
+            spectral_page(realize_shape(dot_shape(0, 0)), "diagonal", 1)
 
 
 class TestPurity:
     def test_dot_is_pure(self):
-        per, total = purity_defect(make_dot((3, 1)))
+        per, total = purity_defect(realize_shape(dot_shape(3, 1)))
         assert total == 0 and per[4] == 0
 
     def test_l_has_defect_one(self):
-        assert purity_defect(make_zigzag(OUT_L))[1] == 1
-        assert purity_defect(make_zigzag(REV_L))[1] == 1
+        assert purity_defect(realize_shape(OUT_L))[1] == 1
+        assert purity_defect(realize_shape(REV_L))[1] == 1
 
     def test_length5_has_defect_two(self):
-        assert purity_defect(make_zigzag(zigzag_shape((1, 2), 5, "horizontal")))[1] == 2
+        assert purity_defect(realize_shape(zigzag_shape((1, 2), 5, "horizontal")))[1] == 2
 
     def test_empty_complex(self):
         from zzcalc.bicomplex import Bicomplex
@@ -199,20 +198,20 @@ class TestPurity:
         assert star_condition(Bicomplex({}))
 
     def test_star_true_for_adjacent_contributions(self):
-        A = direct_sum(make_dot((1, 0)), make_zigzag(OUT_L))
+        A = direct_sum(realize_shape(dot_shape(1, 0)), realize_shape(OUT_L))
         assert star_condition(A)
 
     def test_star_false_for_gapped_contributions(self):
-        A = direct_sum(make_zigzag(REV_L), make_zigzag(OUT_L))
+        A = direct_sum(realize_shape(REV_L), realize_shape(OUT_L))
         assert not star_condition(A)
 
     def test_purity_groups_on_length5(self):
         # incoming odd zigzags feed the upper obstruction group at the
         # top degree, outgoing ones the lower group at the bottom degree
-        A = make_zigzag(zigzag_shape((1, 2), 5, "horizontal"))
+        A = realize_shape(zigzag_shape((1, 2), 5, "horizontal"))
         assert cohomology(A, "purity_upper").dims == {4: 1}
         assert cohomology(A, "purity_lower").dims == {}
-        B = make_zigzag(zigzag_shape((0, 2), 5, "vertical"))
+        B = realize_shape(zigzag_shape((0, 2), 5, "vertical"))
         assert cohomology(B, "purity_lower").dims == {2: 1}
         assert cohomology(B, "purity_upper").dims == {}
 
@@ -288,10 +287,10 @@ def test_check_ddc3_caches_one_pairing_per_axis():
     per axis, cached as ("pairs", axis), and caches no page subspaces."""
     from zzcalc.conditions import check_ddc3
 
-    A = direct_sum(make_square((1, 0)), make_dot((0, 0)))
+    A = direct_sum(realize_shape(square_shape(1, 0)), realize_shape(dot_shape(0, 0)))
     for start, length, direction in (((0, 1), 5, "horizontal"), ((2, 0), 4, "vertical"),
                                      ((1, 1), 3, "horizontal"), ((3, 2), 7, "vertical")):
-        A = direct_sum(A, make_zigzag(zigzag_shape(start, length, direction)))
+        A = direct_sum(A, realize_shape(zigzag_shape(start, length, direction)))
     tc = TotalComplex(scramble(A, 11))
     check_ddc3(tc)
     assert sorted(key for key in tc._cache if key[0] == "pairs") == [("pairs", 0), ("pairs", 1)]

@@ -723,9 +723,9 @@ def test_matrices_against_old_route(kind):
         O = old_matrix(M)
         assert_same_matrix(M, O)
         old_rows, old_pivots = _canonical_rows(O.data, O.cols)
-        R, pivots = linalg.rref(M)
-        assert pivots == old_pivots
-        assert R.data == [list(r) for r in old_rows]
+        R = linalg.Subspace(cols, M.data)
+        assert [next(iter(r)) for r in R.rows] == old_pivots
+        assert [list(r) for r in R.basis] == [list(r) for r in old_rows]
         assert linalg.rank(M) == len(old_pivots)
         assert_same_subspace(linalg.kernel_basis(M), kernel_basis(O))
         assert_same_subspace(linalg.image_basis(M), image_basis(O))
@@ -742,8 +742,10 @@ def test_matrices_against_old_route(kind):
         assert_same_subspace(linalg.subspace_intersect(U, V), subspace_intersect(oU, oV))
         probes = list(oV.basis) + [random_matrix(rng, kind, 1, cols).data[0] for _ in range(3)]
         for v in probes:
-            assert linalg.contains(U, v) == contains(oU, v)
-            assert M.apply(v) == O.apply(v)
+            line = linalg.Subspace(cols, [v])
+            assert U.contains_subspace(line) == contains(oU, v)
+            column = linalg.Matrix([[x] for x in v], cols, 1)
+            assert [x for x, in (M * column).data] == list(O.apply(v))
         N = random_matrix(rng, kind, cols, rng.randint(0, 5))
         assert_same_matrix(M * N, O * old_matrix(N))
         c = random_entry(rng, kind)
@@ -756,7 +758,7 @@ def test_ambient_checks_kept():
     with pytest.raises(AmbientMismatch):
         linalg.subspace_intersect(linalg.zero_subspace(2), linalg.zero_subspace(3))
     with pytest.raises(AmbientMismatch):
-        linalg.contains(linalg.full_subspace(2), (1, 0, 0))
+        linalg.Subspace(2, [(1, 0, 0)])
     with pytest.raises(InvalidInput):
         linalg.Matrix([[1, 2], [3]])
 

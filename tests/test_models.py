@@ -19,9 +19,7 @@ from hypothesis import strategies as st
 from zzcalc.bicomplex import (
     MultiplicityTable,
     dot_shape,
-    make_dot,
-    make_square,
-    make_zigzag,
+    realize_shape,
     scramble,
     square_shape,
     zigzag_shape,
@@ -315,21 +313,21 @@ def test_surface_invariants(params):
 class TestBlowup:
     def test_center_stays_ddc3(self):
         A = surface_model(1, 0, 0, 0)
-        Z = make_dot((0, 0))
+        Z = realize_shape(dot_shape(0, 0))
         assert check_ddc3(blowup_model(A, Z, 2)).holds
 
     def test_long_zigzag_center_breaks_ddc3(self):
-        A = make_dot((0, 0))
-        Z = make_zigzag(zigzag_shape((1, 2), 5, "horizontal"))
+        A = realize_shape(dot_shape(0, 0))
+        Z = realize_shape(zigzag_shape((1, 2), 5, "horizontal"))
         assert not check_ddc3(blowup_model(A, Z, 3)).holds
 
     def test_codimension_guard(self):
         with pytest.raises(InvalidInput):
-            blowup_model(make_dot((0, 0)), make_dot((0, 0)), 1)
+            blowup_model(realize_shape(dot_shape(0, 0)), realize_shape(dot_shape(0, 0)), 1)
 
     def test_census_is_sum_of_shifts(self):
-        A = make_square((0, 0))
-        Z = make_zigzag(zigzag_shape((0, 1), 3, "horizontal"))
+        A = realize_shape(square_shape(0, 0))
+        Z = realize_shape(zigzag_shape((0, 1), 3, "horizontal"))
         B = blowup_model(A, Z, 3)
         expect = MultiplicityTable({
             square_shape(0, 0): 1,
@@ -342,10 +340,10 @@ class TestBlowup:
 class TestBundle:
     def test_rank_guard(self):
         with pytest.raises(InvalidInput):
-            projective_bundle_model(make_dot((0, 0)), 0)
+            projective_bundle_model(realize_shape(dot_shape(0, 0)), 0)
 
     def test_rank_one_is_identity(self):
-        A = make_zigzag(zigzag_shape((0, 0), 4, "vertical"))
+        A = realize_shape(zigzag_shape((0, 0), 4, "vertical"))
         B = projective_bundle_model(A, 1)
         assert multiplicities(B) == multiplicities(A)
 
@@ -397,7 +395,7 @@ def odd_zigzag_pairs(draw):
 @settings(max_examples=12, deadline=None)
 def test_product_pdef_additive_on_matched_pairs(pair):
     s1, s2, expect = pair
-    P = product_model(make_zigzag(s1), make_zigzag(s2))
+    P = product_model(realize_shape(s1), realize_shape(s2))
     tc = TotalComplex(P)
     assert purity_defect(tc)[1] == expect
     table = multiplicities(tc)
@@ -435,7 +433,7 @@ def test_product_pdef_additive_on_duality_closed_sums(m1, m2, pad):
 
 def test_product_betti_kunneth():
     A = surface_model(1, 0, 0, 0)
-    B = make_square((0, 0))
+    B = realize_shape(square_shape(0, 0))
     P = product_model(A, B)
     assert betti(P) == {}
 
