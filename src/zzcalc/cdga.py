@@ -20,13 +20,17 @@ formal dimension 2n and a level j:
 
   * check Poincare duality of H(P) (b_2n = 1 and a nondegenerate cup
     pairing in complementary degrees), else the criterion does not
-    apply.  The pairing forms no cup product: one linear functional
-    phi on the degree-2n cochains gives the top-class coordinate, each
+    apply.  H^k is built first in each degree up to min(2n, top),
+    upward, so Im d(k-1) clears d(k) (Chen-Kerber clearing): its rows
+    at the highest columns of Im d(k-1) are skipped unbuilt, the
+    relations left are exactly the classes that survive the quotient,
+    and b_k = dim C^k - rank d(k) - rank d(k-1) is checked.  The
+    pairing forms no cup product: one linear functional phi on the
+    degree-2n cochains gives the top-class coordinate, each
     representative monomial m1 is contracted once against supp phi
-    into the dual terms (T/m1, sign * phi(T)), and a pairing entry is
-    the integer dot product of those terms with the complementary
-    representative row, divided once by both rows' leads and phi's
-    denominator;
+    into the dual terms (T/m1, sign * phi(T)), and a pairing entry sums
+    those terms against the complementary representative rows, indexed
+    by column, divided once by both rows' leads and phi's denominator;
   * check the cup hypothesis that the subalgebra generated by classes
     of degree <= j misses H^{j+1}.  Its products multiply integer
     polynomials, the representative rows and span vectors lifted
@@ -439,13 +443,24 @@ def _solve(ech, row, what):
     return wit, -den * wit.pop(-1)
 
 
+def _cleared(im, n):
+    """Rows of d(k) that Im d(k-1) shows dependent, n = dim C^k: through
+    one echelon by falling column, each v in Im d(k-1) has its own
+    highest column h, and as d v = 0, row h lies in the span of the rows
+    before it and its relation in Im d(k-1) plus theirs."""
+    top = _Echelon()
+    return {n - 1 - top.insert({n - 1 - c: v for c, v in row.items()})
+            for row in im.pivots.values()}
+
+
 class _CohData:
     """H^k of a presentation as two int echelons over the degree-k basis.
 
     im holds Im(L d) (see _Engine), each pivot witnessed by a preimage
     over basis(k-1).  quo shares im's rows and adds the representative
     rows h_rows, the i-th witnessed by {i: its lead}, so reducing a
-    cocycle through quo leaves its H^k coordinates in the witness.
+    cocycle through quo leaves its H^k coordinates in the witness.  The
+    rows do not depend on whether d(k) was cleared (see _Engine.coh).
     """
 
     __slots__ = ("im", "quo", "h_rows")
@@ -521,30 +536,45 @@ class _Engine:
     def _eliminate(self, k):
         """Reduce d out of degree k once.  Its echelon is Im d for
         coh(k+1) and its relations are Ker d for coh(k); each waits here
-        until that call takes it."""
+        until that call takes it.  While Im d(k-1) waits here too, the
+        rows it clears (_cleared) are skipped unbuilt: the echelon and
+        the other relations stay the same, and each one kept survives."""
+        basis = self.basis(k)
+        im = self._d_echs.get(k - 1)
+        skip = () if im is None else _cleared(im, len(basis))
         ech = _Echelon()
-        self._ker_wits[k] = _kernel(
-            (self.d_row(m, k) for m in self.basis(k)), ech)
+        rows = (None if i in skip else self.d_row(m, k)
+                for i, m in enumerate(basis))
+        self._ker_wits[k] = _kernel(rows, ech), im is not None
         self._d_echs[k] = ech
 
     def coh(self, k):
+        """H^k: the relations of d(k) reduced through Im d(k-1), one that
+        reduces to 0 skipped.  Inconsistent unless b_k = dim C^k -
+        rank d(k) - rank d(k-1), the ranks read off the two echelons, and
+        unless every relation survives where d(k) was cleared."""
         got = self._coh.get(k)
         if got is not None:
             return got
-        im = _Echelon()
-        if k > 0:
-            if k - 1 not in self._d_echs:
-                self._eliminate(k - 1)
-            im = self._d_echs.pop(k - 1)
+        if k > 0 and k - 1 not in self._d_echs:
+            self._eliminate(k - 1)
         if k not in self._ker_wits:
             self._eliminate(k)
+        im = self._d_echs.pop(k - 1) if k > 0 else _Echelon()
+        rels, cleared = self._ker_wits.pop(k)
         quo = _Echelon(im.pivots)
         h_rows = []
-        for wit in self._ker_wits.pop(k):
+        for wit in rels:
             lead = quo.insert(wit)
             if lead is not None:
                 quo.wits[lead] = {len(h_rows): quo.pivots[lead][lead]}
                 h_rows.append(quo.pivots[lead])
+        b = len(h_rows)
+        want = len(self.basis(k)) - im.rank - (
+            self._d_echs.get(k) or self._coh[k + 1].im).rank
+        if b != want or cleared and b != len(rels):
+            raise Inconsistent(f"b_{k} = {b} of {len(rels)} relations, but dim "
+                               f"C^{k} - rank d({k}) - rank d({k - 1}) = {want}")
         got = _CohData(im, quo, h_rows)
         self._coh[k] = got
         return got
@@ -916,15 +946,21 @@ def _pairing_rows(eng, phi, k, n2, contractions):
     """Rows {l: <[rep_i][rep_l], top class>} of the H^k x H^{n2-k} pairing.
 
     The sums run on ints: the representative rows as they are, and phi
-    times its common denominator den.  Entry (i, l) is divided once, by
-    lead_i * lead_l * den.  contractions caches _contract per monomial,
-    over the column indices of the complementary degree.
+    times its common denominator den.  The complementary rows are indexed
+    by column once, so entry (i, l) sums only where rep_i's dual terms
+    meet rep_l's entries; it is divided once, by lead_i * lead_l * den.
+    contractions caches _contract per monomial, over the column indices
+    of the complementary degree.
     """
     den = lcm(*(v.denominator for v in phi.values()))
     phi = {m: v.numerator * (den // v.denominator) for m, v in phi.items()}
     basis, idx = eng.basis(k), eng.bindex(n2 - k)
     others = eng.coh(n2 - k).h_rows
     leads = [row[min(row)] for row in others]
+    by_col = {}
+    for l, other in enumerate(others):
+        for c2, x2 in other.items():
+            by_col.setdefault(c2, []).append((l, x2))
     rows = []
     for rep in eng.coh(k).h_rows:
         dual = {}
@@ -937,18 +973,20 @@ def _pairing_rows(eng, phi, k, n2, contractions):
             for c2, v in terms:
                 dual[c2] = dual.get(c2, 0) + x1 * v
         scale = rep[min(rep)] * den
-        row = {}
-        for l, other in enumerate(others):
-            val = sum(x2 * dual[c2] for c2, x2 in other.items() if c2 in dual)
-            if val:
-                row[l] = Fraction(val, scale * leads[l])
-        rows.append(row)
+        acc = {}
+        for c2, v in dual.items():
+            for l, x2 in by_col.get(c2, ()):
+                acc[l] = acc.get(l, 0) + x2 * v
+        rows.append({l: Fraction(acc[l], scale * leads[l])
+                     for l in sorted(acc) if acc[l]})
     return rows
 
 
 def _check_poincare_duality(P):
     eng = _engine(P)
     n2 = P.formal_dimension
+    for k in range(min(n2, eng.top) + 1):  # upward, so Im d(k-1) clears d(k)
+        eng.coh(k)
     if eng.betti(n2) != 1:
         raise NoPoincareDuality(
             f"b_{n2} = {eng.betti(n2)}, expected 1")

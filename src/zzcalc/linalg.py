@@ -501,11 +501,14 @@ def _kernel(rows, ech=None):
     """Int relations w, sum of w[i] * rows[i] zero, one per row that
     reduces to zero; the largest index is the row's own, and w divided
     by its coefficient is the rational relation.  The other rows become
-    pivots of ech, the i-th witnessed by {i: 1} as reduced."""
+    pivots of ech, the i-th witnessed by {i: 1} as reduced.  A row given
+    as None is skipped (no relation, no pivot) but keeps its index."""
     if ech is None:
         ech = _Echelon()
     out = []
     for i, row in enumerate(rows):
+        if row is None:
+            continue
         wit = {i: 1}
         if ech.insert(row, wit) is None:
             out.append(wit)

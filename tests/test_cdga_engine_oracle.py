@@ -16,6 +16,14 @@ relation divided by its own-row coefficient; representatives,
 coordinates, primitives and tower adds.  (The old coh also eliminates
 d out of degree k twice, where the engine shares one pass between
 coh(k) and coh(k+1).)
+
+The engine clears: where Im d(k-1) is at hand, the rows of d(k) at its
+highest columns are never built (`cdga._cleared`).  Both oracles build
+every row and reduce every relation, so the comparisons run in three
+call orders, upward (every degree but 0 cleared), downward (only the
+first degree cleared) and the duality check's former low/high
+alternation, and the rows left unbuilt must be exactly the own rows of
+the relations that the oracles' quotient reduces to 0.
 """
 
 import itertools
@@ -414,6 +422,24 @@ def engines(name):
     return P, cdga._Engine(P), OldEngine(P)
 
 
+ORDERS = ("upward", "downward", "alternating")
+
+
+def walked(P, order):
+    """A fresh engine after coh(k) for k = 0..2n+1 in the given order;
+    "alternating" is 2n, then k and 2n - k for k = 0..n, then 2n + 1."""
+    n2 = P.formal_dimension
+    ks = range(n2 + 2)
+    if order == "downward":
+        ks = reversed(ks)
+    elif order == "alternating":
+        ks = [n2, *(x for k in range(n2 // 2 + 1) for x in (k, n2 - k)), n2 + 1]
+    eng = cdga._Engine(P)
+    for k in ks:
+        eng.coh(k)
+    return eng
+
+
 def rational(row, lead):
     """An integer row divided by lead, as the Fraction route holds it."""
     return {c: Fraction(v, lead) for c, v in row.items()}
@@ -479,8 +505,11 @@ def cochains(eng, k):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_coh_matches_old_loops(name):
     P, new, old = engines(name)
+    for order in ORDERS:
+        walk = walked(P, order)
+        for k in range(P.formal_dimension + 2):
+            assert lead_one(walk, k) == fraction_form(old.coh(k)), (order, k)
     for k in range(P.formal_dimension + 2):
-        assert lead_one(new, k) == fraction_form(old.coh(k))
         rows = [new.d_row(m, k) for m in new.basis(k)]
         assert own_one(cdga._kernel(rows)) == old.kernels[k]
 
@@ -490,27 +519,78 @@ def test_coh_matches_fraction_echelon(name):
     P = CASES[name]()
     new, frac = cdga._Engine(P), FracEngine(P)
     for k in range(P.formal_dimension + 2):
-        assert lead_one(new, k) == fraction_form(frac.coh(k))
         rows = [new.d_row(m, k) for m in new.basis(k)]
         frows = [frac.d_row(m, k) for m in frac.basis(k)]
         assert own_one(cdga._kernel(rows)) == frac_kernel(frows)
-        for i in range(new.betti(k)):
-            assert new.h_rep_poly(k, i) == frac.h_rep_poly(k, i)
+    for order in ORDERS:
+        new = walked(P, order)
+        for k in range(P.formal_dimension + 2):
+            assert lead_one(new, k) == fraction_form(frac.coh(k)), (order, k)
+            for i in range(new.betti(k)):
+                assert new.h_rep_poly(k, i) == frac.h_rep_poly(k, i)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_coh_independent_of_call_order(name):
     """d out of degree k is eliminated by whichever of coh(k), coh(k+1)
-    comes first and handed to the other, so the order cannot matter."""
+    comes first and handed to the other, cleared or not, so the order
+    cannot matter."""
     P = CASES[name]()
-    up, down = cdga._Engine(P), cdga._Engine(P)
+    up, down, alt = (walked(P, order) for order in ORDERS)
+    for k in range(P.formal_dimension + 2):
+        a = up.coh(k)
+        for b in (down.coh(k), alt.coh(k)):
+            assert (a.im.pivots, a.im.wits, a.quo.pivots, a.quo.wits, a.h_rows) == \
+                (b.im.pivots, b.im.wits, b.quo.pivots, b.quo.wits, b.h_rows)
+    assert not up._ker_wits and not down._ker_wits and not alt._ker_wits
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + ["filiform(12)"])
+def test_cleared_rows_are_the_relations_that_die(name):
+    """Upward, the rows of d(k) never built are exactly the own rows of
+    the old route's relations that reduce to 0 modulo Im d(k-1)."""
+    P = CASES[name]() if name in CASES else preset(name)
+    eng, old = cdga._Engine(P), OldEngine(P)
+    built = set()
+    d_row = eng.d_row
+
+    def recording(mono, k):
+        built.add((k, mono))
+        return d_row(mono, k)
+
+    eng.d_row = recording
     top = P.formal_dimension + 1
-    for k in reversed(range(top + 1)):
-        down.coh(k)
     for k in range(top + 1):
-        a, b = up.coh(k), down.coh(k)
-        assert (a.im.pivots, a.im.wits, a.h_rows) == (b.im.pivots, b.im.wits, b.h_rows)
-    assert not up._ker_wits and not down._ker_wits
+        eng.coh(k)
+    for k in range(top + 1):
+        skipped = {i for i, m in enumerate(eng.basis(k)) if (k, m) not in built}
+        data = old.coh(k)
+        quo = FracEchelon({c: row for c, (row, _) in data.im_pivots.items()})
+        dying = {max(w) for w in old.kernels[k] if quo.insert(w) is None}
+        assert skipped == dying, k
+        assert len(skipped) == len(data.im_pivots)
+
+
+@pytest.mark.parametrize("change", ["row added", "row removed"])
+def test_wrong_clearing_set_is_inconsistent(monkeypatch, change):
+    """A clearing set one row too large loses a class or a rank; one row
+    too small keeps a relation that dies.  coh's counts catch both."""
+    cleared = cdga._cleared
+
+    def mutated(im, n):
+        rows = cleared(im, n)
+        if rows:
+            if change == "row added":
+                rows.add(min(set(range(n)) - rows))
+            else:
+                rows.remove(max(rows))
+        return rows
+
+    monkeypatch.setattr(cdga, "_cleared", mutated)
+    eng = cdga._Engine(preset("filiform(8)"))
+    with pytest.raises(Inconsistent, match=r"^b_2 = .* relations, but dim C\^2"):
+        for k in range(10):
+            eng.coh(k)
 
 
 def test_each_degree_eliminated_once(monkeypatch):
@@ -525,8 +605,9 @@ def test_each_degree_eliminated_once(monkeypatch):
     eng = cdga._Engine(preset("filiform(10)"))
     for k in range(11):
         eng.coh(k)
-    # 2611 when coh(k) and coh(k+1) each eliminate d out of degree k
-    assert len(calls) == 1588
+    # 2611 when coh(k) and coh(k+1) each eliminate d out of degree k, and
+    # 1588 with every row of d built: clearing leaves 460 rows unbuilt
+    assert len(calls) == 1128
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

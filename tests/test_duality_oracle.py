@@ -7,12 +7,17 @@ integer representative rows, each entry divided once).  The route
 it replaced formed each entry as a full cup product, projected into the
 H^{2n} basis; that route is kept here, unchanged, as the oracle.  The
 two must give the same pairing matrix entry by entry and raise the same
-exception with the same message.
+exception with the same message.  `_pairing_rows` itself sums each
+entry over a column index of the complementary rows; its earlier body,
+one dot product for every pair of classes, is kept here too
+(`dot_pairing_rows`), and the two must give the same rows, values and
+key order alike.
 """
 
 import gc
 import weakref
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -30,6 +35,35 @@ def oracle_rows(eng, k, n2):
             coords = eng.cup_coords(k, i, n2 - k, l)
             if coords:
                 row[l] = coords[0]
+        rows.append(row)
+    return rows
+
+
+def dot_pairing_rows(eng, phi, k, n2, contractions):
+    """The replaced _pairing_rows: entry (i, l) as a dot product of
+    rep_i's dual terms with rep_l, for every pair (i, l)."""
+    den = lcm(*(v.denominator for v in phi.values()))
+    phi = {m: v.numerator * (den // v.denominator) for m, v in phi.items()}
+    basis, idx = eng.basis(k), eng.bindex(n2 - k)
+    others = eng.coh(n2 - k).h_rows
+    leads = [row[min(row)] for row in others]
+    rows = []
+    for rep in eng.coh(k).h_rows:
+        dual = {}
+        for c1, x1 in rep.items():
+            m1 = basis[c1]
+            terms = contractions.get(m1)
+            if terms is None:
+                terms = contractions[m1] = [
+                    (idx[m2], v) for m2, v in cdga._contract(m1, phi, eng.degrees)]
+            for c2, v in terms:
+                dual[c2] = dual.get(c2, 0) + x1 * v
+        scale = rep[min(rep)] * den
+        row = {}
+        for l, other in enumerate(others):
+            val = sum(x2 * dual[c2] for c2, x2 in other.items() if c2 in dual)
+            if val:
+                row[l] = Fraction(val, scale * leads[l])
         rows.append(row)
     return rows
 
@@ -154,6 +188,21 @@ def test_pairing_matrix_matches_cup_products(name):
             continue
         assert cdga._pairing_rows(eng, phi, k, n2, contractions) == \
             oracle_rows(eng, k, n2)
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + ["filiform(12)"])
+def test_pairing_rows_match_dot_products(name):
+    P = CASES[name]() if name in CASES else preset(name)
+    eng = cdga._engine(P)
+    n2 = P.formal_dimension
+    phi = cdga._top_functional(eng, n2)
+    new, old = {}, {}
+    for k in range(n2 + 1):
+        got = cdga._pairing_rows(eng, phi, k, n2, new)
+        want = dot_pairing_rows(eng, phi, k, n2, old)
+        assert [list(row.items()) for row in got] == \
+            [list(row.items()) for row in want]
+    assert new == old
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
