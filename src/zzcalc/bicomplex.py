@@ -67,7 +67,7 @@ __all__ = [
 # between is computed and reported, empty or not).  Exact elimination
 # over Q(i) on a few hundred coordinates already takes tens of seconds,
 # and every input the package's tests and benchmark build stays below 100
-# on both counts.
+# on both counts.  cdga refuses a degree walk that would pass it.
 DEGREE_CAP = 512
 
 

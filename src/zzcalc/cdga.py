@@ -52,6 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, lcm
 
+from .bicomplex import DEGREE_CAP
 from .conditions import ell
 from .errors import (
     InfiniteDimensional,
@@ -471,6 +472,40 @@ class _CohData:
         self.h_rows = h_rows
 
 
+def _piece(degs, k):
+    """The sorted degree-k monomials in generators of degrees degs: from
+    the last generator back, tails[r] for r in rems[i] holds the sorted
+    monomials in generators i.. of degree r (more factors i first), if
+    any; each extends to its own degree-k monomial, so bounds the piece."""
+    # rems[i]: the degrees left for generators i.. (odd squares vanish)
+    rems = [{k} if k >= 0 else set()]
+    for d in degs:
+        rem = rems[-1]
+        rems.append(rem | {r - d for r in rem if r >= d} if d % 2 else
+                    {r - c * d for r in rem for c in range(r // d + 1)})
+    tails = {0: [()]}
+    for i in reversed(range(len(degs))):
+        d, level, size = degs[i], {}, 0
+        for r in rems[i]:
+            if d % 2:
+                out = [(i,) + t for t in got] if (got := tails.get(r - d)) else []
+            else:
+                out = []
+                for c in range(r // d, 0, -1):
+                    if got := tails.get(r - c * d):
+                        out += [(i,) * c + t for t in got]
+            if got := tails.get(r):
+                out += got
+            if out:
+                size += len(out)
+                if size > PIECE_CAP:
+                    raise InfiniteDimensional(
+                        f"degree-{k} piece exceeds {PIECE_CAP} monomials")
+                level[r] = out
+        tails = level
+    return tails.get(k, [])
+
+
 class _Engine:
     """Per-presentation caches: bases, differentials (int rows of L d, L
     the lcm of d's denominators), cohomology, the top degree."""
@@ -492,35 +527,10 @@ class _Engine:
 
     def basis(self, k):
         got = self._basis.get(k)
-        if got is not None:
-            return got
-        out = []
-        degs = self.degrees
-        # reach[i]: the largest degree generators i.. can fill; odd squares
-        # vanish, so only an even generator leaves it unbounded
-        reach = [0] * (len(degs) + 1)
-        for i in reversed(range(len(degs))):
-            reach[i] = inf if degs[i] % 2 == 0 else degs[i] + reach[i + 1]
-        # depth first over the generators, on an explicit stack: each entry
-        # is (next generator, degree still to fill, monomial so far)
-        stack = [(0, k, ())] if k >= 0 else []
-        while stack:
-            i, rem, mono = stack.pop()
-            if rem == 0:
-                out.append(mono)
-                if len(out) > PIECE_CAP:
-                    raise InfiniteDimensional(
-                        f"degree-{k} piece exceeds {PIECE_CAP} monomials")
-            elif rem <= reach[i]:
-                stack.append((i + 1, rem, mono))
-                d = degs[i]
-                top = min(rem // d, 1) if d % 2 else rem // d  # odd squares vanish
-                for cnt in range(1, top + 1):
-                    stack.append((i + 1, rem - cnt * d, mono + (i,) * cnt))
-        out.sort()
-        self._basis[k] = out
-        self._bindex[k] = {m: i for i, m in enumerate(out)}
-        return out
+        if got is None:
+            got = self._basis[k] = _piece(self.degrees, k) if k <= self.top else []
+            self._bindex[k] = {m: i for i, m in enumerate(got)}
+        return got
 
     def bindex(self, k):
         self.basis(k)
@@ -660,6 +670,13 @@ def _engine(P):
     return P._engine
 
 
+def _check_walk(eng, last):
+    """Refuse up front a walk to degree min(last, top) past DEGREE_CAP."""
+    if min(last, eng.top) > DEGREE_CAP:
+        raise InfiniteDimensional(f"a walk to degree {min(last, eng.top)} "
+                                  f"passes the degree cap of {DEGREE_CAP}")
+
+
 # ---------------------------------------------------------------------------
 # Public computations.
 
@@ -673,6 +690,7 @@ class CohomologyRing:
         self.presentation = P
         self.max_deg = max_deg
         eng = _engine(P)
+        _check_walk(eng, max_deg)
         self._eng = eng
         self.dims = {}
         for k in range(min(max_deg, eng.top) + 1):
@@ -716,6 +734,7 @@ def d_jk(P, j, k):
     if j < 0 or k < 0:
         raise InvalidInput("j and k must be naturals")
     eng = _engine(P)
+    _check_walk(eng, k)
     if k <= j or k > eng.top:  # b_k, 0 above the top degree
         return eng.betti(k)
     spans = eng.subalgebra_span(j, k)
@@ -797,6 +816,7 @@ def _tower(P, j, degree_cap, stage_cap):
         degree_cap = max(P.formal_dimension, j)
     if _is_minimal(P) and all(d <= j for d in P.degrees):
         return P, _identity_map(P), True
+    _check_walk(_engine(P), j + 1)
 
     gens = []
     diffs = {}
@@ -868,8 +888,9 @@ def r_jk(P, j, k):
     """Rank of the map H^k(model) -> H^k(P) for the j-minimal model."""
     if k < 0:
         raise InvalidInput("k must be a natural")
-    model, psi, _ = _model(P, j)
     A = _engine(P)
+    _check_walk(A, k)
+    model, psi, _ = _model(P, j)
     if model is P:
         return A.betti(k)
     M = _Engine(model)
@@ -907,8 +928,8 @@ def _top_functional(eng, n2):
     through coh(n2), with a column that is neither pivot dropped.  The
     image pivot rows, the representative row and the unit rows of the
     other columns form a triangular basis, so back-substitution from
-    the last column gives every value, and phi agrees with
-    project(...)[0] on cocycles.
+    the last column gives every value, and phi(z) = w.get(0, 0) / s on
+    a cocycle z, where (w, s) = coords(z, n2).
     """
     quo = eng.coh(n2).quo
     vals = {}
@@ -1016,6 +1037,7 @@ def obstruction(P, j):
         raise InvalidInput(
             f"formal dimension must be even and >= 2, got {n2}")
     eng = _engine(P)
+    _check_walk(eng, max(n2, j + 1))
     for k in range(min(n2, eng.top) + 1):  # PIECE_CAP refuses an oversized piece up front
         eng.basis(k)
     _check_poincare_duality(P)

@@ -58,7 +58,7 @@ class NoPoincareDuality(InputError):
 
 
 class InfiniteDimensional(InputError):
-    """A truncated graded piece of a cdga exceeded the configured cap."""
+    """A graded piece of a cdga passed PIECE_CAP, or a degree walk DEGREE_CAP."""
 
 
 class InternalError(ZZError):

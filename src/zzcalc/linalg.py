@@ -354,45 +354,36 @@ def _transpose(rows, ncols):
 # Fraction-free elimination: one echelon, with witnesses.
 
 
-def _combine(a, r, b, s):
-    """a*r - b*s for real rows."""
-    new = {k: a * v for k, v in r.items()} if a != 1 else dict(r)
-    for k, v in s.items():
-        x = new.get(k, 0) - b * v
-        if x:
-            new[k] = x
-        else:
-            del new[k]
-    return new
-
-
-def _sub(r, prow, c, w=None, pw=None):
-    """r with column c cleared by the echelon row prow: the fraction-free
-    step a*r - b*prow, a/b = prow[c]/r[c] in lowest terms (_gsub's step
-    for pair rows), with the gcd of the result pulled out.  Given a
-    witness w, the step also takes w to a*w - b*pw (pw is prow's witness,
-    None for zero), the pull-out covers both, and both are returned."""
-    if type(prow[c]) is tuple:
-        return _gsub(r, prow, c, w, pw)
-    a, b = prow[c], r[c]
+def _step(z, p, c, w=None, pw=None):
+    """Clear column c of the int row z by the echelon row p, in place: the
+    fraction-free step z <- a*z - b*p, a/b = p[c]/z[c] in lowest terms,
+    the same on a given witness w (pw is p's witness, None for zero), and
+    the gcd of every entry of z and w pulled out."""
+    a, b = p[c], z[c]
     g = gcd(a, b)
     if g != 1:
         a //= g
         b //= g
-    new = _combine(a, r, b, prow)
-    if w is None:
-        g = gcd(*new.values())
-        return {k: v // g for k, v in new.items()} if g > 1 else new
-    w = _combine(a, w, b, pw or {})
-    g = gcd(*new.values(), *w.values())
+    for x, q in ((z, p),) if w is None else ((z, p), (w, pw or {})):
+        if a != 1:
+            for k, v in x.items():
+                x[k] = a * v
+        for k, v in q.items():
+            y = x.get(k, 0) - b * v
+            if y:
+                x[k] = y
+            else:
+                del x[k]
+    g = gcd(*z.values()) if w is None else gcd(*z.values(), *w.values())
     if g > 1:
-        return {k: v // g for k, v in new.items()}, {k: v // g for k, v in w.items()}
-    return new, w
+        for x in (z,) if w is None else (z, w):
+            for k, v in x.items():
+                x[k] = v // g
 
 
 def _gsub(r, prow, c, w=None, pw=None):
-    """_sub for pair rows: the step prow[c]*r - r[c]*prow, the same on a
-    given witness, and the gcd of every integer in the results pulled out."""
+    """_step for pair rows, into a new row: prow[c]*r - r[c]*prow, the
+    same on a given witness w in place, the gcd of both pulled out."""
     ar, ai = prow[c]
     br, bi = r[c]
     out = []
@@ -410,7 +401,10 @@ def _gsub(r, prow, c, w=None, pw=None):
     g = gcd(*(x for row in out for v in row.values() for x in v))
     if g > 1:
         out = [{k: (x // g, y // g) for k, (x, y) in row.items()} for row in out]
-    return out[0] if w is None else tuple(out)
+    if w is not None:
+        w.clear()
+        w.update(out[1])
+    return out[0]
 
 
 def _canon(row):
@@ -447,10 +441,11 @@ class _Echelon:
     pivots maps each lead column c to its row (all int or all pair rows);
     wits may hold its witness, a row at the same scale: both divided by
     pivots[c][c] give the lead-1 pivot and witness.  reduce(row, wit)
-    clears pivot columns, lowest first, by _sub and applies each step to
-    wit too (a pivot without a witness has witness zero); insert makes a
-    pivot primitive with its witness, lead > 0.  Pivot rows given to the
-    constructor are shared, not copied."""
+    clears pivot columns, lowest first, by _step (_gsub for pair rows),
+    each step on wit too (a pivot without a witness has witness zero),
+    in place: row is copied at its first step, if any, and wit updated.
+    insert makes a pivot primitive with its witness, lead > 0.  Pivot
+    rows given to the constructor are shared, not copied."""
 
     __slots__ = ("pivots", "wits")
 
@@ -459,20 +454,14 @@ class _Echelon:
         self.wits = {}
 
     def reduce(self, row, wit=None):
-        """The remainder of row; wit is updated in place."""
-        z, w = row, wit
-        while z:
-            c = min(z)
-            p = self.pivots.get(c)
-            if p is None:
-                break
-            if w is None:
-                z = _sub(z, p, c)
-            else:
-                z, w = _sub(z, p, c, w, self.wits.get(c))
-        if w is not wit:
-            wit.clear()
-            wit.update(w)
+        """The remainder of row: row itself when its lead column is free,
+        else a new dict; wit is updated in place."""
+        piv, wits, z = self.pivots, self.wits, row
+        while z and (p := piv.get(c := min(z))) is not None:
+            if type(p[c]) is tuple:
+                z = _gsub(z, p, c, wit, wits.get(c))
+            else:  # the first int step copies row
+                _step(z := dict(row) if z is row else z, p, c, wit, wits.get(c))
         return z
 
     def insert(self, row, wit=None):
@@ -501,8 +490,9 @@ def _kernel(rows, ech=None):
     """Int relations w, sum of w[i] * rows[i] zero, one per row that
     reduces to zero; the largest index is the row's own, and w divided
     by its coefficient is the rational relation.  The other rows become
-    pivots of ech, the i-th witnessed by {i: 1} as reduced.  A row given
-    as None is skipped (no relation, no pivot) but keeps its index."""
+    pivots of ech, the i-th witnessed by {i: 1} as reduced (one with a
+    free lead column as given, up to content).  A row given as None is
+    skipped (no relation, no pivot) but keeps its index."""
     if ech is None:
         ech = _Echelon()
     out = []
@@ -544,15 +534,16 @@ def _echelon(rows):
 
 def _reduce(rows, r):
     """r (up to a nonzero factor) minus its part along the canonical rows:
-    zero exactly when r lies in their span."""
+    zero exactly when r lies in their span; r itself is left unchanged."""
+    z = r
     for row in rows:
         c = next(iter(row))
-        if c in r:
-            if _is_pairs(row) or _is_pairs(r):
-                r = _tidy(_sub(_as_pairs(r), _as_pairs(row), c))
-            else:
-                r = _sub(r, row, c)
-    return r
+        if c in z:
+            if _is_pairs(row) or _is_pairs(z):
+                z = _tidy(_gsub(_as_pairs(z), _as_pairs(row), c))
+            else:  # the first int step copies r
+                _step(z := dict(r) if z is r else z, row, c)
+    return z
 
 
 def _kernel_rows(rows, ncols):

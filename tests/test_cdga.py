@@ -13,10 +13,14 @@ of degree-one classes exact, and b_2 = 2 gives slack two at k = 4.
 
 import itertools
 import json
+import time
+from math import inf
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zzcalc import cdga
 from zzcalc.bicomplex import MultiplicityTable, dot_shape, zigzag_shape
 from zzcalc.cdga import (
     CdgaPresentation,
@@ -45,6 +49,42 @@ from zzcalc.errors import (
 )
 
 from fractions import Fraction
+
+
+def dfs_basis(degs, k):
+    """The replaced route of _Engine.basis: depth first over the
+    generators on an explicit stack, then sorted."""
+    out = []
+    # reach[i]: the largest degree generators i.. can fill; odd squares
+    # vanish, so only an even generator leaves it unbounded
+    reach = [0] * (len(degs) + 1)
+    for i in reversed(range(len(degs))):
+        reach[i] = inf if degs[i] % 2 == 0 else degs[i] + reach[i + 1]
+    # each entry is (next generator, degree still to fill, monomial so far)
+    stack = [(0, k, ())] if k >= 0 else []
+    while stack:
+        i, rem, mono = stack.pop()
+        if rem == 0:
+            out.append(mono)
+            if len(out) > cdga.PIECE_CAP:
+                raise InfiniteDimensional(
+                    f"degree-{k} piece exceeds {cdga.PIECE_CAP} monomials")
+        elif rem <= reach[i]:
+            stack.append((i + 1, rem, mono))
+            d = degs[i]
+            top = min(rem // d, 1) if d % 2 else rem // d  # odd squares vanish
+            for cnt in range(1, top + 1):
+                stack.append((i + 1, rem - cnt * d, mono + (i,) * cnt))
+    out.sort()
+    return out
+
+
+def outcome(f, *args):
+    """f(*args), or the message of the InfiniteDimensional it raises."""
+    try:
+        return f(*args)
+    except InfiniteDimensional as exc:
+        return f"refused: {exc}"
 
 
 def torus(k, dim):
@@ -93,6 +133,32 @@ class TestPresentation:
                 for exps in itertools.product(*ranges)
                 if sum(e * d for e, d in zip(exps, degrees)) == k)
             assert eng.basis(k) == expected
+
+    # a lowered cap makes the refusal reachable at these sizes
+    @settings(max_examples=200, deadline=None)
+    @given(degrees=st.lists(st.integers(1, 4), max_size=8), k=st.integers(-1, 14),
+           cap=st.sampled_from([cdga.PIECE_CAP, 40, 3]))
+    def test_basis_matches_dfs(self, degrees, k, cap):
+        P = CdgaPresentation(
+            [(f"g{i}", d) for i, d in enumerate(degrees)], {}, 0)
+        with mock.patch.object(cdga, "PIECE_CAP", cap):
+            assert outcome(_Engine(P).basis, k) == outcome(
+                lambda k: dfs_basis(P.degrees, k), k)
+
+    def test_huge_piece_refused_fast(self):
+        # the degree-2 piece of filiform(2000) has C(2000, 2) monomials
+        start = time.perf_counter()
+        with pytest.raises(InfiniteDimensional, match="degree-2 piece exceeds"):
+            _Engine(preset("filiform(2000)")).basis(2)
+        assert time.perf_counter() - start < 2
+
+    def test_empty_high_piece_is_fast(self):
+        # odd degree 511 from generators of even degree: a DFS walks every
+        # partial sum before it finds nothing
+        P = CdgaPresentation([("a", 2), ("b", 2), ("c", 4)], {}, 0)
+        start = time.perf_counter()
+        assert _Engine(P).basis(511) == []
+        assert time.perf_counter() - start < 0.5
 
     def test_negative_formal_dimension_rejected(self):
         with pytest.raises(InvalidInput):

@@ -34,7 +34,7 @@ from zzcalc.bicomplex import (
     square_shape,
     zigzag_shape,
 )
-from zzcalc.cdga import cdga_to_json, d_jk, preset, r_jk
+from zzcalc.cdga import CdgaPresentation, cdga_to_json, d_jk, preset, r_jk
 from zzcalc.conditions import les, numeric_report, purity_diagram
 from zzcalc.decomposition import multiplicities, realize
 from zzcalc.errors import Inconsistent
@@ -459,6 +459,18 @@ class TestBuildCombine:
         assert "ZZ_SEED" in captured.err
 
 
+# x^k spans every even degree: no top degree
+WALK_EVEN = {"dim": 2, "generators": [{"name": "x", "degree": 2}]}
+WALK_HUGE_DIM = {"dim": 100000000, "generators": [
+    {"name": "x", "degree": 2}, {"name": "y", "degree": 3}], "d": {"y": "x^2"}}
+# all odd, so the top degree x*y is finite, but 2000000
+WALK_ALL_ODD = {"dim": 2000000, "generators": [
+    {"name": "x", "degree": 999999}, {"name": "y", "degree": 1000001}]}
+# d y = x is linear, so the model is built by the tower
+WALK_LINEAR = {"dim": 0, "generators": [
+    {"name": "y", "degree": 1}, {"name": "x", "degree": 2}], "d": {"y": "x"}}
+
+
 class TestCdgaVerbs:
     def test_obstruct_filiform_example(self, capsys):
         code, lines, _ = run_lines(
@@ -556,6 +568,25 @@ class TestCdgaVerbs:
         assert seconds < 2
         assert code == 2
         assert err == "error: b_100000000 = 0, expected 1\n"
+
+    # Every verb refuses, before any elimination, a walk whose last degree,
+    # min(asked degree, top degree), passes DEGREE_CAP.
+    @pytest.mark.parametrize("argv, obj, degree", [
+        (["cohomology", "--max-deg", "4000"], WALK_EVEN, 4000),
+        (["obstruct", "--j", "1"], WALK_HUGE_DIM, 100000000),
+        (["obstruct", "--j", "1"], WALK_ALL_ODD, 2000000),
+        (["rank", "--j", "1", "--k", "4000"], WALK_EVEN, 4000),
+        (["model", "--j", "600"], WALK_LINEAR, 601),
+        (["compat", "--j", "1", "--complex", None], WALK_HUGE_DIM, 100000000),
+    ], ids=["cohomology", "obstruct", "obstruct-all-odd", "rank", "model", "compat"])
+    def test_walk_past_degree_cap_refused(self, tmp_path, hopf_path, argv, obj, degree):
+        path = tmp_path / "walk.json"
+        path.write_text(json.dumps(obj))
+        argv = [hopf_path if a is None else a for a in argv]
+        code, lines, err, seconds = run_child(["cdga", *argv, str(path)])
+        assert seconds < 2
+        assert (code, lines) == (2, [])
+        assert err == f"error: a walk to degree {degree} passes the degree cap of 512\n"
 
     def test_model_shortcut_returns_input(self, capsys):
         code, obj = run_json(
@@ -696,9 +727,16 @@ def _paths(obj, path=()):
         yield from _paths(value, path + (key,))
 
 
+def _resize_space(draw, obj):
+    if isinstance(obj.get("spaces"), dict) and obj["spaces"]:
+        key = draw(st.sampled_from(sorted(obj["spaces"])))
+        obj["spaces"][key] = draw(st.integers(-2, 5))
+
+
 @st.composite
-def mutated_bicomplex(draw):
-    obj = copy.deepcopy(FUZZ_BASE)
+def mutated(draw, base, resize):
+    """base with one to three values dropped, swapped or resized."""
+    obj = copy.deepcopy(base)
     for _ in range(draw(st.integers(1, 3))):
         paths = list(_paths(obj))
         if not paths:
@@ -712,14 +750,13 @@ def mutated_bicomplex(draw):
             del parent[path[-1]]
         elif op == "swap":
             parent[path[-1]] = draw(FUZZ_VALUES)
-        elif isinstance(obj.get("spaces"), dict) and obj["spaces"]:
-            key = draw(st.sampled_from(sorted(obj["spaces"])))
-            obj["spaces"][key] = draw(st.integers(-2, 5))
+        else:
+            resize(draw, obj)
     return obj
 
 
 @given(
-    obj=mutated_bicomplex(),
+    obj=mutated(FUZZ_BASE, _resize_space),
     verb=st.sampled_from((["validate"], ["check", "--ddc3"], ["filtration"], ["decompose"])),
 )
 @example(obj={"spaces": {"0,0": 1000000000}}, verb=["check", "--ddc3"])
@@ -734,3 +771,35 @@ def test_fuzzed_bicomplex_json_exits_cleanly(obj, verb):
     if code == 2:
         # validate reports on stdout, every other verb on stderr
         assert "error:" in out.getvalue() + err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed cdga JSON, the same way.
+
+# sheared S2 x S2: its even generators leave the walks no top degree
+CDGA_FUZZ_BASE = cdga_to_json(CdgaPresentation(
+    [("a", 2), ("x", 2), ("y", 3), ("z", 3)], {"y": "a^2", "z": "a*x+x^2"}, 4))
+
+
+def _resize_dim(draw, obj):
+    obj["dim"] = draw(st.integers(-2, 12))
+
+
+@given(
+    obj=mutated(CDGA_FUZZ_BASE, _resize_dim),
+    verb=st.sampled_from((["cohomology", "--max-deg", "6"], ["obstruct", "--j", "1"],
+                          ["rank", "--j", "1", "--k", "3"], ["model", "--j", "1"])),
+)
+@example(obj=WALK_EVEN, verb=["cohomology", "--max-deg", "4000"])
+@example(obj=WALK_HUGE_DIM, verb=["obstruct", "--j", "1"])
+@example(obj=WALK_ALL_ODD, verb=["obstruct", "--j", "1"])
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_cdga_json_exits_cleanly(obj, verb):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(obj))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(["cdga", *verb, "-"])
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert "error:" in err.getvalue()
