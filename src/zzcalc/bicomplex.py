@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 from .errors import (
     InvalidInput,
@@ -32,7 +32,7 @@ from .errors import (
     NotABicomplex,
     ShapeMismatch,
 )
-from .linalg import Matrix, _block_matrix, _kron
+from .linalg import Matrix, _block_matrix, _kron, _product, _scale
 
 __all__ = [
     "Bicomplex",
@@ -598,53 +598,45 @@ def transpose_bicomplex(A):
     return Bicomplex(spaces, dels, delbars)
 
 
-_SCRAMBLE_DIAG = [
-    Fraction(1),
-    Fraction(-1),
-    Fraction(2),
-    Fraction(1, 2),
-    Fraction(-2),
-    Fraction(3),
-    Fraction(-1, 2),
-    Fraction(1, 3),
-]
+_SCRAMBLE_DIAG = [(1, 1), (-1, 1), (2, 1), (1, 2), (-2, 1), (3, 1), (-1, 2), (1, 3)]
 
 
 def _random_change_of_basis(rng, n):
-    """Invertible T = L D U with unit triangular L, U and its inverse."""
-    L = [[Fraction(0)] * n for _ in range(n)]
-    U = [[Fraction(0)] * n for _ in range(n)]
+    """Invertible T = L D U with unit triangular L, U and its inverse.
+
+    The rng draws are part of the output, so their order is fixed and old
+    seeds reproduce old scrambles: for each row i and each j < i, L[i][j]
+    and then U[j][i], each from -2..2; then D's n entries, each a
+    (numerator, denominator) of _SCRAMBLE_DIAG.
+    """
+    L = [{i: 1} for i in range(n)]
+    U = [{i: 1} for i in range(n)]
     for i in range(n):
-        L[i][i] = Fraction(1)
-        U[i][i] = Fraction(1)
         for j in range(i):
-            L[i][j] = Fraction(rng.randint(-2, 2))
-            U[j][i] = Fraction(rng.randint(-2, 2))
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            if a:
+                L[i][j] = a
+            if b:
+                U[j][i] = b
     D = [rng.choice(_SCRAMBLE_DIAG) for _ in range(n)]
-
-    def mat(rows):
-        return Matrix(rows, n, n)
-
-    def inv_unit_lower(M):
-        # forward substitution on columns of the identity
-        inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        for j in range(n):
-            for i in range(n):
-                s = inv[i][j] - sum(M[i][k] * inv[k][j] for k in range(i))
-                inv[i][j] = s
-        return inv
-
-    Linv = inv_unit_lower(L)
-    Ut = [[U[j][i] for j in range(n)] for i in range(n)]
-    Uinv_t = inv_unit_lower(Ut)
-    Uinv = [[Uinv_t[j][i] for j in range(n)] for i in range(n)]
-    T = mat(L) * mat([[D[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]) * mat(U)
-    Tinv = (
-        mat(Uinv)
-        * mat([[1 / D[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)])
-        * mat(Linv)
-    )
-    return T, Tinv
+    # integer inverses by substitution, L^-1 from the first row down and
+    # U^-1 from the last row up: row i is e_i - sum over j != i of M[i][j]
+    # times row j of the inverse
+    Linv, Uinv = [None] * n, [None] * n
+    for M, inv, order in ((L, Linv, range(n)), (U, Uinv, reversed(range(n)))):
+        for i in order:
+            row = {i: 1}
+            for j, x in M[i].items():
+                if j != i:
+                    for k, y in inv[j].items():
+                        row[k] = row.get(k, 0) - x * y
+            inv[i] = {k: v for k, v in row.items() if v}
+    # T = L (D U) and T^-1 = U^-1 (D^-1 L^-1), each over one denominator
+    den, num = lcm(*(d for _, d in D)), lcm(*(a for a, _ in D))
+    DU = [_scale(r, a * den // d) for r, (a, d) in zip(U, D)]
+    DLinv = [_scale(r, d * num // a) for r, (a, d) in zip(Linv, D)]
+    return (Matrix._of(n, n, den, _product(L, DU)),
+            Matrix._of(n, n, num, _product(Uinv, DLinv)))
 
 
 def scramble(A, seed):

@@ -773,7 +773,7 @@ def _tower_stage(P, model, psi, j):
     generator indices, image polynomial over P's generator indices).
     """
     A = _engine(P)
-    M = _Engine(model)
+    M = _engine(model)
     psi_polys = [psi[n] for n in model.names]
     adds = []
     fresh = itertools.count(len(model.names) + 1)
@@ -893,7 +893,7 @@ def r_jk(P, j, k):
     model, psi, _ = _model(P, j)
     if model is P:
         return A.betti(k)
-    M = _Engine(model)
+    M = _engine(model)
     psi_polys = [psi[n] for n in model.names]
     span = _Echelon()
     for i in range(M.betti(k)):

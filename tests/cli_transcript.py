@@ -3,9 +3,10 @@
 Each case runs one `zz` report verb on a fixed input; its exit code,
 stdout and stderr must equal the record in `golden/cli_transcript.json`.
 The bicomplex verbs run on the Hopf model and on a scrambled sum with
-zigzags of length 4 and 5; the cdga verbs run on `--preset ex_k2_M`, and
-three of them also on a sheared S2 x S2, whose even generators take the
-sign path of even powers.
+zigzags of length 4 and 5, and `scramble --seed 9` (text only) on each
+of the two; the cdga verbs run on `--preset ex_k2_M`, and three of
+them also on a sheared S2 x S2, whose even generators take the sign path
+of even powers.
 This module needs only the standard library; `test_cli_transcript.py`
 runs the same cases under pytest.
 
@@ -97,6 +98,9 @@ def _cases():
         for source in ("hopf", "zigzag45"):
             for fmt in ("text", "json"):
                 yield f"{verb}/{source}/{fmt}", argv + ["{%s}" % source], fmt
+    for source in ("hopf", "zigzag45"):
+        yield (f"scramble/{source}/text",
+               ["scramble", "--seed", "9", "{%s}" % source], "text")
     for verb, argv in CDGA_VERBS.items():
         for fmt in ("text", "json"):
             yield (f"{verb}/ex_k2_M/{fmt}",

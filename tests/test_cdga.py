@@ -420,6 +420,24 @@ class TestMinimalModel:
             P = preset(name)
             assert _tower_stage(P, P, _identity_map(P), j) == []
 
+    @pytest.mark.parametrize("j, engines", [(1, 2), (2, 3)])
+    def test_model_engines_are_built_once(self, monkeypatch, j, engines):
+        # Sheared S2 x S2 is not minimal, so its model differs from P.
+        # One engine for P and one per tower stage (one stage at j = 1,
+        # two at j = 2): r_jk, for every k, reuses the final model's.
+        built = []
+        init = _Engine.__init__
+
+        def counting_init(self, P):
+            built.append(P)
+            init(self, P)
+
+        monkeypatch.setattr(_Engine, "__init__", counting_init)
+        P = CdgaPresentation([("a", 2), ("x", 2), ("y", 3), ("z", 3)],
+                             {"y": "a^2", "z": "a*x+x^2"}, 4)
+        obstruction(P, j)
+        assert len(built) == engines
+
 
 class TestObstruction:
     def test_filiform_family_blocked(self):
