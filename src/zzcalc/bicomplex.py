@@ -300,7 +300,11 @@ def _check_size(spaces):
             raise InvalidInput(
                 f"total degree {k} has dimension {n}, above the cap of {DEGREE_CAP}"
             )
-    degs = [k for k, n in by_degree.items() if n]
+    _check_span([k for k, n in by_degree.items() if n])
+
+
+def _check_span(degs):
+    """Refuse total degrees degs spread over DEGREE_CAP or more."""
     if degs and max(degs) - min(degs) >= DEGREE_CAP:
         raise InvalidInput(
             f"total degrees {min(degs)}..{max(degs)} span more than the cap of {DEGREE_CAP}"
@@ -450,36 +454,33 @@ def realize_shape(s):
 # Constructions
 
 
-def direct_sum(A, B):
-    spaces = dict(A.spaces)
-    for pq, d in B.spaces.items():
-        spaces[pq] = spaces.get(pq, 0) + d
+def direct_sum(*parts):
+    """The direct sum of any number of complexes, in one pass: each del
+    and delbar is one block matrix with a block per part.  The sum is
+    labelled when every part is; a bidegree a part leaves unlabelled
+    reads a0, a1, ... on the first part and b0, b1, ... on the others.
+    One part is returned as given."""
+    if len(parts) == 1:
+        return parts[0]
+    spaces, offsets = {}, []
+    labels = {} if all(P.labels is not None for P in parts) else None
+    for i, P in enumerate(parts):
+        offsets.append({pq: spaces.get(pq, 0) for pq in P.spaces})
+        for pq, d in P.spaces.items():
+            spaces[pq] = spaces.get(pq, 0) + d
+            if labels is not None:
+                default = [("b" if i else "a") + str(j) for j in range(d)]
+                labels.setdefault(pq, []).extend(P.labels.get(pq, default))
 
-    def block(which):
-        amaps = A.del_maps if which == "del" else A.delbar_maps
-        bmaps = B.del_maps if which == "del" else B.delbar_maps
-        step = (1, 0) if which == "del" else (0, 1)
+    def block(which, s, t):
         out = {}
-        for pq in set(amaps) | set(bmaps):
-            p, q = pq
-            tp, tq = p + step[0], q + step[1]
-            r0, c0 = A.dim(tp, tq), A.dim(p, q)
-            blocks = []
-            if pq in amaps:
-                blocks.append((0, 0, amaps[pq], (1, 0)))
-            if pq in bmaps:
-                blocks.append((r0, c0, bmaps[pq], (1, 0)))
-            out[pq] = _block_matrix(r0 + B.dim(tp, tq), c0 + B.dim(p, q), blocks)
-        return out
+        for P, off in zip(parts, offsets):
+            for (p, q), m in getattr(P, which).items():
+                out.setdefault((p, q), []).append((off[p + s, q + t], off[p, q], m, (1, 0)))
+        return {(p, q): _block_matrix(spaces[p + s, q + t], spaces[p, q], blocks)
+                for (p, q), blocks in out.items()}
 
-    labels = None
-    if A.labels is not None and B.labels is not None:
-        labels = {}
-        for pq in spaces:
-            la = A.labels.get(pq, [f"a{i}" for i in range(A.dim(*pq))])
-            lb = B.labels.get(pq, [f"b{i}" for i in range(B.dim(*pq))])
-            labels[pq] = la + lb
-    return Bicomplex(spaces, block("del"), block("delbar"), labels)
+    return Bicomplex(spaces, block("del_maps", 1, 0), block("delbar_maps", 0, 1), labels)
 
 
 def shift(A, i):

@@ -25,8 +25,8 @@ audit (every basis vector of A accounted for) guards the arithmetic.
 from __future__ import annotations
 
 from .bicomplex import (
-    Bicomplex,
     MultiplicityTable,
+    _check_size,
     direct_sum,
     dot_shape,
     realize_shape,
@@ -136,9 +136,5 @@ def e1_isomorphic(A, B):
 
 def realize(table):
     """A concrete bicomplex with the given multiplicity table."""
-    out = Bicomplex({})
-    for shape, mult in table:
-        piece = realize_shape(shape)
-        for _ in range(mult):
-            out = direct_sum(out, piece)
-    return out
+    _check_size(table.local_dims())
+    return direct_sum(*(x for s, m in table for x in [realize_shape(s)] * m))

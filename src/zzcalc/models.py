@@ -14,10 +14,13 @@ requires it (its H_BC at (1,1) is one-dimensional).
 """
 
 from fractions import Fraction
+from itertools import product
 
 from .bicomplex import (
     Bicomplex,
     MultiplicityTable,
+    _check_size,
+    _check_span,
     direct_sum,
     dot_shape,
     shift,
@@ -84,24 +87,21 @@ def vaisman_model(n, P):
     0 <= c <= n-p-q; th10 has bidegree (1,0), th01 (0,1), w (1,1).
     """
     P = _checked_primitives(n, P)
-    keys = []
-    for (p, q) in sorted(P):
-        for i in range(P[(p, q)]):
-            for a in (0, 1):
-                for b in (0, 1):
-                    for c in range(n - p - q + 1):
-                        keys.append((p, q, i, a, b, c))
-
-    basis = {}
+    # sized by counting first: n and each P[(p, q)] may be far past the cap
+    _check_span([0, 2 * n + 2])
+    spaces = {}
+    for (p, q), v in P.items():
+        for a, b, c in product((0, 1), (0, 1), range(n - p - q + 1)):
+            spaces[p + a + c, q + b + c] = spaces.get((p + a + c, q + b + c), 0) + v
+    _check_size(spaces)
+    keys = sorted((p, q, i, a, b, c) for (p, q) in P for i in range(P[p, q])
+                  for a, b, c in product((0, 1), (0, 1), range(n - p - q + 1)))
+    basis, index = {}, {}
     for key in keys:
         p, q, i, a, b, c = key
-        basis.setdefault((p + a + c, q + b + c), []).append(key)
-    for lst in basis.values():
-        lst.sort()
-    index = {}
-    for pq, lst in basis.items():
-        for idx, key in enumerate(lst):
-            index[key] = (pq, idx)
+        lst = basis.setdefault((p + a + c, q + b + c), [])
+        index[key] = ((p + a + c, q + b + c), len(lst))
+        lst.append(key)
 
     del_maps = {}
     delbar_maps = {}
@@ -133,7 +133,6 @@ def vaisman_model(n, P):
 
     del_maps = {pq: Matrix(rows) for pq, rows in del_maps.items()}
     delbar_maps = {pq: Matrix(rows) for pq, rows in delbar_maps.items()}
-    spaces = {pq: len(lst) for pq, lst in basis.items()}
     labels = {pq: [_element_label(k) for k in lst] for pq, lst in basis.items()}
     return validate(Bicomplex(spaces, del_maps, delbar_maps, labels))
 
@@ -191,25 +190,28 @@ def surface_model(b1, h10, h20, b2):
     return realize(MultiplicityTable(mults))
 
 
+def _with_copies(A, B, count):
+    """A plus shift(B, i) for i = 1..count, refused before any copy is
+    built when the degrees pass DEGREE_CAP (each copy adds 2 to both ends
+    of B's).  An empty B adds no space, but one copy drops the labels."""
+    if not (B.spaces and count):
+        return direct_sum(A, B) if count else A
+    _check_span(A.degrees() + [B.degrees()[0] + 2, B.degrees()[-1] + 2 * count])
+    return direct_sum(A, *(shift(B, i) for i in range(1, count + 1)))
+
+
 def blowup_model(A, Z, d):
     """A plus d-1 shifted copies of the center Z."""
     if d < 2:
         raise InvalidInput("blow-up codimension d must be >= 2")
-    out = validate(A)
-    validate(Z)
-    for i in range(1, d):
-        out = direct_sum(out, shift(Z, i))
-    return out
+    return _with_copies(validate(A), validate(Z), d - 1)
 
 
 def projective_bundle_model(A, r):
     """r shifted copies of A, one per fiber cohomology class."""
     if r < 1:
         raise InvalidInput("fiber rank r must be >= 1")
-    out = validate(A)
-    for i in range(1, r):
-        out = direct_sum(out, shift(A, i))
-    return out
+    return _with_copies(validate(A), A, r - 1)
 
 
 def product_model(A, B):

@@ -4,9 +4,11 @@ Each case runs one `zz` report verb on a fixed input; its exit code,
 stdout and stderr must equal the record in `golden/cli_transcript.json`.
 The bicomplex verbs run on the Hopf model and on a scrambled sum with
 zigzags of length 4 and 5, and `scramble --seed 9` (text only) on each
-of the two; the cdga verbs run on `--preset ex_k2_M`, and three of
-them also on a sheared S2 x S2, whose even generators take the sign path
-of even powers.
+of the two; `combine` builds a rank-3 bundle over the Hopf model and
+blow-ups of it along a labelled center (itself) and an unlabelled one
+(the scrambled sum); the cdga verbs run on `--preset ex_k2_M`, and
+three of them also on a sheared S2 x S2, whose even generators take the
+sign path of even powers.
 This module needs only the standard library; `test_cli_transcript.py`
 runs the same cases under pytest.
 
@@ -63,6 +65,14 @@ CDGA_VERBS = {
     "cdga-compat": ["cdga", "compat", "--j", "1", "--complex", "{dot}"],
 }
 
+COMBINE_CASES = {
+    "combine/bundle-3/hopf/text": ["combine", "bundle", "--rank", "3", "{hopf}"],
+    "combine/blowup-2/hopf-hopf/text":
+        ["combine", "blowup", "{hopf}", "{hopf}", "--codim", "2"],
+    "combine/blowup-3/hopf-zigzag45/text":
+        ["combine", "blowup", "{hopf}", "{zigzag45}", "--codim", "3"],
+}
+
 EVEN_CDGA_VERBS = {
     "cdga-cohomology-8": ["cdga", "cohomology", "--max-deg", "8"],
     "cdga-model-2": ["cdga", "model", "--j", "2"],
@@ -101,6 +111,8 @@ def _cases():
     for source in ("hopf", "zigzag45"):
         yield (f"scramble/{source}/text",
                ["scramble", "--seed", "9", "{%s}" % source], "text")
+    for name, argv in COMBINE_CASES.items():
+        yield name, argv, "text"
     for verb, argv in CDGA_VERBS.items():
         for fmt in ("text", "json"):
             yield (f"{verb}/ex_k2_M/{fmt}",

@@ -426,6 +426,45 @@ class TestBuildCombine:
         B = from_json(obj)
         assert sum(B.spaces.values()) == 2 * sum(hopf.spaces.values())
 
+    # Each size is known from the inputs and the count, so the refusal
+    # comes before any piece, copy or basis element is built.
+    @pytest.mark.parametrize("argv, message", [
+        (["combine", "bundle", "--rank", "1000000000", "{hopf}"],
+         "total degrees 0..2000000002 span more"),
+        (["combine", "blowup", "{hopf}", "{hopf}", "--codim", "1000000000"],
+         "total degrees 0..2000000002 span more"),
+        (["build", "surface", "--b1", "0", "--h10", "0", "--h20", "0",
+          "--b2", "1000000000"], "total degree 2 has dimension 1000000000,"),
+        (["build", "surface", "--b1", "0", "--h10", "0", "--h20", "0",
+          "--b2", "1000"], "total degree 2 has dimension 1000,"),
+        (["build", "vaisman", "--n", "1000000000"],
+         "total degrees 0..2000000002 span more"),
+        (["build", "vaisman", "--n", "1", "--prim", "0,0:1000000000"],
+         "total degree 0 has dimension 1000000000,"),
+    ], ids=["bundle", "blowup", "surface", "surface-1000", "vaisman-n",
+            "vaisman-prim"])
+    def test_oversized_model_refused_up_front(self, hopf_path, argv, message):
+        code, lines, err, seconds = run_child(
+            [arg.format(hopf=hopf_path) for arg in argv])
+        assert (code, lines) == (2, [])
+        assert err.startswith("error: " + message)
+        assert seconds < 2
+
+    # Copies of an empty complex add nothing, however many are asked for.
+    @pytest.mark.parametrize("argv", [
+        ["combine", "bundle", "--rank", "1000000000", "{empty}"],
+        ["combine", "blowup", "{hopf}", "{empty}", "--codim", "1000000000"],
+    ], ids=["bundle", "blowup"])
+    def test_copies_of_an_empty_complex(self, capsys, hopf_path, tmp_path, argv):
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"spaces": {}}\n')
+        paths = {"hopf": hopf_path, "empty": str(empty)}
+        code, lines, _, seconds = run_child([arg.format(**paths) for arg in argv])
+        assert seconds < 2
+        assert code == 0
+        small = [arg.replace("1000000000", "2") for arg in argv]
+        assert lines == run_lines(capsys, [arg.format(**paths) for arg in small])[1]
+
     def test_dual_matches_library(self, capsys, hopf_path, hopf):
         code = cli.run(["dual", "--n", "2", hopf_path])
         out = capsys.readouterr().out.strip()
