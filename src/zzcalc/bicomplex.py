@@ -519,6 +519,7 @@ def tensor(A, B):
         for (u, v), db in B.spaces.items():
             pq = (r + u, s + v)
             spaces[pq] = spaces.get(pq, 0) + da * db
+    _check_size(spaces)
 
     offsets = {}
     for pq in spaces:

@@ -4,19 +4,20 @@ The multiplicity table is computed by rank formulas, never by an
 explicit splitting:
 
   squares       rank of delbar∘del out of each bidegree (cross-checked
-                against del∘delbar);
+                against del∘delbar), both cached on the TotalComplex;
   odd zigzags   refined Betti numbers; b_k^{p,q} with p+q = k counts
                 dots at (p,q), p+q < k counts incoming zigzags, and
                 p+q > k outgoing ones, the shape pinned down by the
                 extreme filtration levels of its de Rham class;
-  even zigzags  page-r differential ranks; a horizontal-first zigzag of
-                length 2r is the rank of the column d_r out of its
-                anchor, a vertical-first one the rank of the row d_r
-                out of its other extremal lower entry.
+  even zigzags  the persistence pairs of d of jump r >= 1; one from
+                (a,b) is a horizontal-first zigzag of length 2r at
+                (a,b) in the column pairing, a vertical-first one at
+                (b-r+1, a+r-1) in the row pairing (where a is q).
 
 The even-zigzag assignment is fixed by a generated calibration table
 (tests/golden/even_zigzag_calibration.json): every even zigzag shows a
 single rank-1 page differential in exactly one of the two sequences.
+Each pairing leaves total dim - 2 * (its pairs) cycles, the Betti sum.
 
 Uniqueness of the table makes the rank approach sound; the dimension
 audit (every basis vector of A accounted for) guards the arithmetic.
@@ -34,8 +35,8 @@ from .bicomplex import (
     zigzag_shape,
 )
 from .errors import Inconsistent
-from .functors import TotalComplex, betti, refined_betti, spectral_page
-from .linalg import rank
+from .functors import TotalComplex, _pairs, betti, refined_betti, spectral_page
+from .linalg import rank  # rank, spectral_page unused; bench/tracing.py rebinds them
 
 __all__ = [
     "multiplicities",
@@ -44,11 +45,10 @@ __all__ = [
 ]
 
 
-def _square_counts(A):
+def _square_counts(tc):
     counts = {}
-    for (p, q) in A.support():
-        down = rank(A.delbar_at(p + 1, q) * A.del_at(p, q))
-        up = rank(A.del_at(p, q + 1) * A.delbar_at(p, q))
+    for (p, q) in tc.A.support():
+        down, up = tc.rank("dbard", p, q), tc.rank("ddbar", p, q)
         if down != up:
             raise Inconsistent(
                 f"square ranks disagree at {(p, q)}: {down} vs {up}"
@@ -74,33 +74,17 @@ def _odd_counts(tc):
 
 def _even_counts(tc):
     total_betti = sum(betti(tc).values())
-    widths = []
-    ps = [p for p, _ in tc.A.spaces]
-    qs = [q for _, q in tc.A.spaces]
-    if ps:
-        widths = [max(ps) - min(ps) + 1, max(qs) - min(qs) + 1]
-    cap = max(widths, default=0) + 2
-
     counts = {}
-    for which in ("column", "row"):
-        r = 1
-        while True:
-            page = spectral_page(tc, which, r)
-            for (p, q), v in page.d_ranks.items():
-                if which == "column":
-                    anchor = (p, q)
-                else:
-                    anchor = (p - r + 1, q + r - 1)
-                first = "horizontal" if which == "column" else "vertical"
+    for axis, first in enumerate(("horizontal", "vertical")):
+        pairs = _pairs(tc, axis)[0]
+        if (left := tc.A.total_dim() - 2 * sum(pairs.values())) != total_betti:
+            raise Inconsistent(f"the {('column', 'row')[axis]} pairing leaves "
+                               f"{left} cycles, not the {total_betti} of the Betti numbers")
+        for (a, b, r), v in pairs.items():
+            if r:
+                anchor = (a, b) if axis == 0 else (b - r + 1, a + r - 1)
                 shape = zigzag_shape(anchor, 2 * r, first)
                 counts[shape] = counts.get(shape, 0) + v
-            if page.sum_dims() == total_betti:
-                break
-            r += 1
-            if r > cap:
-                raise Inconsistent(
-                    f"{which} spectral sequence did not degenerate by page {cap}"
-                )
     return counts
 
 
@@ -115,7 +99,7 @@ def multiplicities(A):
 
 
 def _census(tc):
-    counts = _square_counts(tc.A)
+    counts = _square_counts(tc)
     for shape, v in _odd_counts(tc).items():
         counts[shape] = counts.get(shape, 0) + v
     for shape, v in _even_counts(tc).items():

@@ -22,8 +22,12 @@ Bigraded functors at (p,q):
 
 Here dc = i(delbar - del), so d dc = 2i del delbar and the total-degree
 descriptions of Bott-Chern and Aeppli used elsewhere agree with the
-bigraded ones.  Each bigraded dimension is dim A^{p,q} less the rank of
-the maps out (stacked) and of the maps in (side by side).
+bigraded ones.  Each bigraded dimension is dim A^{p,q} less the ranks
+of the maps out and in, each cached once on the TotalComplex: del,
+delbar, both stacked (kernel Ker del ∩ Ker delbar) and del*delbar and
+delbar*del out of (p,q), and del and delbar into it side by side (image
+Im del + Im delbar).  An absent block, or a product with one, has rank 0
+and is never built.
 
 The filtrations F^p (blocks with p >= level) and Fbar^q (q >= level)
 are coordinate index lists.  Both spectral sequences and both Hodge
@@ -64,6 +68,7 @@ from .linalg import (
     _as_pairs,
     _echelon,
     _is_pairs,
+    _product,
     _tidy,
     apply_matrix,
     image_basis,
@@ -138,6 +143,12 @@ class TotalComplex:
 
     def ddc(self, k):
         return self._get(("ddc", k), lambda: self.d(k + 1) * self.dc(k))
+
+    def rank(self, kind, p, q):
+        """Rank of "del", "delbar", both stacked ("out"), "ddbar" =
+        del*delbar or "dbard" = delbar*del out of A^{p,q}, or of del and
+        delbar into it side by side ("in")."""
+        return self._get(("rank", kind, p, q), lambda: _block_rank(self.A, kind, p, q))
 
     # -- basic subspaces in degree k ----------------------------------
 
@@ -249,26 +260,32 @@ class CohomologyTable:
         return sum(self.dims.values())
 
 
-def _bigraded_dims(A, functor):
-    """dim A^{p,q}, less the rank of the maps out stacked (Ker del ∩
-    Ker delbar is the kernel of del over delbar) and of the maps in side
-    by side (Im del + Im delbar is the image of [del | delbar])."""
+def _block_rank(A, kind, p, q):
+    de, db = A.del_maps.get, A.delbar_maps.get
+    if kind == "in":
+        rows = [c for M in (de((p - 1, q)), db((p, q - 1))) if M for c in M._columns()]
+    elif kind in ("ddbar", "dbard"):
+        M, N = (de((p, q + 1)), db((p, q))) if kind == "ddbar" else (db((p + 1, q)), de((p, q)))
+        rows = _product(M.sparse, N.sparse) if M and N else []
+    else:
+        maps = {"del": (de,), "delbar": (db,), "out": (de, db)}[kind]
+        rows = [r for get in maps if (M := get((p, q))) for r in M.sparse]
+    return len(_echelon(rows)) if rows else 0  # blind to each block's denominator
+
+
+def _bigraded_dims(tc, functor):
+    """dim A^{p,q}, less the rank of the maps out and of the maps in."""
+    rank = tc.rank
     dims = {}
-    for (p, q), n in sorted(A.spaces.items()):
+    for (p, q), n in sorted(tc.A.spaces.items()):
         if functor == "dolbeault":
-            out, into = [A.delbar_at(p, q)], [A.delbar_at(p, q - 1)]
+            d = n - rank("delbar", p, q) - rank("delbar", p, q - 1)
         elif functor == "conj_dolbeault":
-            out, into = [A.del_at(p, q)], [A.del_at(p - 1, q)]
+            d = n - rank("del", p, q) - rank("del", p - 1, q)
         elif functor == "bott_chern":
-            out = [A.del_at(p, q), A.delbar_at(p, q)]
-            into = [A.del_at(p - 1, q) * A.delbar_at(p - 1, q - 1)]
+            d = n - rank("out", p, q) - rank("ddbar", p - 1, q - 1)
         else:  # aeppli
-            out = [A.del_at(p, q + 1) * A.delbar_at(p, q)]
-            into = [A.del_at(p - 1, q), A.delbar_at(p, q - 1)]
-        # a rank ignores the scale of each row, so each block keeps its
-        # own denominator
-        d = (n - len(_echelon([r for M in out for r in M.sparse]))
-             - len(_echelon([c for M in into for c in M._columns()])))
+            d = n - rank("ddbar", p, q) - rank("in", p, q)
         if d:
             dims[(p, q)] = d
     return dims
@@ -294,11 +311,9 @@ def _total_dims(tc, functor):
 
 def cohomology(A, functor):
     """Dimension table of one cohomological functor of A."""
-    if functor in BIGRADED_FUNCTORS:
-        B = A.A if isinstance(A, TotalComplex) else A
-        return CohomologyTable(functor, _bigraded_dims(B, functor))
-    if functor in TOTAL_FUNCTORS:
-        return CohomologyTable(functor, _total_dims(_tc(A), functor))
+    if functor in FUNCTORS:
+        dims = _bigraded_dims if functor in BIGRADED_FUNCTORS else _total_dims
+        return CohomologyTable(functor, dims(_tc(A), functor))
     raise InvalidInput(
         f"unknown functor {functor!r}; expected one of {', '.join(FUNCTORS)}"
     )

@@ -427,7 +427,7 @@ class TestBuildCombine:
         assert sum(B.spaces.values()) == 2 * sum(hopf.spaces.values())
 
     # Each size is known from the inputs and the count, so the refusal
-    # comes before any piece, copy or basis element is built.
+    # comes before any piece, copy, Kronecker block or basis element is built.
     @pytest.mark.parametrize("argv, message", [
         (["combine", "bundle", "--rank", "1000000000", "{hopf}"],
          "total degrees 0..2000000002 span more"),
@@ -441,11 +441,16 @@ class TestBuildCombine:
          "total degrees 0..2000000002 span more"),
         (["build", "vaisman", "--n", "1", "--prim", "0,0:1000000000"],
          "total degree 0 has dimension 1000000000,"),
+        (["combine", "product", "{zigzags}", "{zigzags}"],
+         "total degree 0 has dimension 250000,"),
     ], ids=["bundle", "blowup", "surface", "surface-1000", "vaisman-n",
-            "vaisman-prim"])
-    def test_oversized_model_refused_up_front(self, hopf_path, argv, message):
+            "vaisman-prim", "product"])
+    def test_oversized_model_refused_up_front(self, hopf_path, tmp_path, argv, message):
+        zigzags = tmp_path / "zigzags.json"
+        zigzags.write_text(dumps(realize(MultiplicityTable(
+            {zigzag_shape((0, 0), 3, "horizontal"): 250}))))
         code, lines, err, seconds = run_child(
-            [arg.format(hopf=hopf_path) for arg in argv])
+            [arg.format(hopf=hopf_path, zigzags=zigzags) for arg in argv])
         assert (code, lines) == (2, [])
         assert err.startswith("error: " + message)
         assert seconds < 2

@@ -30,7 +30,7 @@ REV_L = zigzag_shape((0, 1), 3, "horizontal")
 
 def even_zigzag_rule(length, first_arrow):
     """Where the rank-1 page differential of an even zigzag sits, as
-    `decomposition._even_counts` reads it off the pages.
+    `decomposition._even_counts` reads it off the persistence pairs.
 
     Returns (which_sequence, page_r, anchor_offset): the zigzag of the
     given length anchored at (a,b) contributes rank 1 to the d_r of

@@ -11,7 +11,8 @@ route must give the same subspaces (as Scalar bases and pivot lists),
 ranks, echelon forms and matrices on fixed-seed real, Gaussian-integer
 and rational matrices, and the same value in every TotalComplex cache
 family on scrambled sums drawn like acceptance criterion 3's (each
-persistence pairing is held to the ranks of d that it must give).  Its own
+persistence pairing is held to the ranks of d that it must give, each
+cached bigraded rank to linalg.rank of the matrix it replaced).  Its own
 checks of the ddc+3 condition make no Scalar at all.
 """
 
@@ -795,6 +796,27 @@ def scrambled_tables(count, seed=20261019):
 SUMS = scrambled_tables(8)
 
 
+def old_block_rank(A, kind, p, q):
+    """linalg.rank of the matrix each TotalComplex.rank kind replaced,
+    built through del_at/delbar_at as before, zero blocks included:
+    products out of (p, q), the maps out stacked, the maps in side by
+    side."""
+    if kind in ("del", "delbar"):
+        M = A.del_at(p, q) if kind == "del" else A.delbar_at(p, q)
+    elif kind == "ddbar":
+        M = A.del_at(p, q + 1) * A.delbar_at(p, q)
+    elif kind == "dbard":
+        M = A.delbar_at(p + 1, q) * A.del_at(p, q)
+    elif kind == "out":
+        top, bottom = A.del_at(p, q), A.delbar_at(p, q)
+        M = linalg.Matrix(top.data + bottom.data, top.rows + bottom.rows, A.dim(p, q))
+    else:  # in
+        left, right = A.del_at(p - 1, q), A.delbar_at(p, q - 1)
+        M = linalg.Matrix([a + b for a, b in zip(left.data, right.data)],
+                          A.dim(p, q), left.cols + right.cols)
+    return linalg.rank(M)
+
+
 @pytest.mark.parametrize("table, A", SUMS, ids=[f"sum{i}" for i in range(len(SUMS))])
 def test_cache_families_against_old_route(table, A):
     tc = TotalComplex(A)
@@ -806,11 +828,14 @@ def test_cache_families_against_old_route(table, A):
         for r in (1, 2, 3):
             spectral_page(tc, which, r)
     old = OldRoute(tc)
-    families = set()
+    families, kinds = set(), set()
     for key, value in list(tc._cache.items()):
         name, args = key[0], key[1:]
         families.add(name)
-        if name == "multiplicities":
+        if name == "rank":
+            kinds.add(args[0])
+            assert value == old_block_rank(A, *args), args
+        elif name == "multiplicities":
             assert value == table
         elif name == "filtration":
             assert value == old_compute_filtration(TotalComplex(A))
@@ -823,7 +848,9 @@ def test_cache_families_against_old_route(table, A):
             assert_same_subspace(value, method(*args))
     assert families >= {"d", "dc", "ddc", "ker_d", "im_d", "ker_dc", "im_dc", "ker_ddc",
                         "im_ddc", "d_ker_dc", "dinv_im_dc", "kk", "ii_sum", "ii_cap",
-                        "kd_imd", "kd_imdc", "pairs", "filtration", "multiplicities"}
+                        "kd_imd", "kd_imdc", "pairs", "filtration", "multiplicities",
+                        "rank"}
+    assert kinds == {"del", "delbar", "out", "in", "ddbar", "dbard"}
     # the filtration reads Ker d ∩ F^level off the cycles cached with the
     # pairs; check them, and the kernel route they replaced, at each level
     assert_cycles_agree(tc)
