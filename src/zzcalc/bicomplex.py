@@ -16,7 +16,14 @@ Orientation is determined by length parity and first arrow: an odd
 horizontal-first zigzag has its arrows converging on the upper diagonal
 (incoming), an odd vertical-first zigzag has them leaving the lower
 diagonal (outgoing); for even length the labels are the committed
-convention out = horizontal-first, in = vertical-first.
+convention out = horizontal-first, in = vertical-first.  The walk is
+the one table of a zigzag: horizontal-first it starts at the anchor
+(a, b) and steps +1 in p, then -1 in q, in turn; vertical-first it
+starts at (a, b+1) and steps -1 in q, then +1 in p.  Each two
+consecutive entries are joined by one arrow, from the one of lower
+total degree: del where p changes, delbar where q does.  The tensor
+product reads every block offset from one table of factor bidegree
+pairs, built in one pass.
 """
 
 from __future__ import annotations
@@ -148,33 +155,20 @@ def zigzag_shape(anchor, length, first_arrow):
 
 
 def _shape_entries(s):
-    """The ordered entry walk of a shape.
-
-    For squares the order is (p,q), (p+1,q), (p,q+1), (p+1,q+1).
-    For zigzags the walk alternates between the two total degrees,
-    starting at the canonical end.
-    """
+    """The ordered entry walk of a shape (see the module docstring); a
+    dot's is its anchor, a square's (p,q), (p+1,q), (p,q+1), (p+1,q+1)."""
     a, b = s.anchor
-    if s.kind == "dot":
-        return [(a, b)]
     if s.kind == "square":
         return [(a, b), (a + 1, b), (a, b + 1), (a + 1, b + 1)]
-    out = []
-    if s.first_arrow == "horizontal":
-        for j in range(1, s.length + 1):
-            i, r = divmod(j, 2)
-            if r:  # odd position, lower diagonal
-                out.append((a + i, b - i))
-            else:
-                out.append((a + i, b - i + 1))
-    else:
-        out.append((a, b + 1))
-        for j in range(2, s.length + 1):
-            i, r = divmod(j, 2)
-            if r:  # odd position, upper diagonal
-                out.append((a + i, b - i + 1))
-            else:
-                out.append((a + i - 1, b - i + 1))
+    horizontal = s.first_arrow != "vertical"
+    p, q = (a, b) if horizontal else (a, b + 1)
+    out = [(p, q)]
+    for j in range(s.length - 1):
+        if (j % 2 == 0) == horizontal:
+            p += 1
+        else:
+            q -= 1
+        out.append((p, q))
     return out
 
 
@@ -184,24 +178,14 @@ def _shape_arrows(s):
     which is 'del' for the horizontal differential and 'delbar' for the
     vertical one.  Sign conventions live in realize_shape, not here.
     """
-    if s.kind == "dot":
-        return []
     if s.kind == "square":
         return [(0, 1, "del"), (0, 2, "delbar"), (1, 3, "delbar"), (2, 3, "del")]
+    ents = _shape_entries(s)
     arrows = []
-    if s.first_arrow == "horizontal":
-        # odd positions are sources: del to the next, delbar to the previous
-        for j in range(1, s.length + 1, 2):
-            if j + 1 <= s.length:
-                arrows.append((j - 1, j, "del"))
-            if j - 1 >= 1:
-                arrows.append((j - 1, j - 2, "delbar"))
-    else:
-        # even positions are sources: delbar to the previous, del to the next
-        for j in range(2, s.length + 1, 2):
-            arrows.append((j - 1, j - 2, "delbar"))
-            if j + 1 <= s.length:
-                arrows.append((j - 1, j, "del"))
+    for i in range(len(ents) - 1):
+        (p, q), (p2, q2) = ents[i], ents[i + 1]
+        src, tgt = (i, i + 1) if p + q < p2 + q2 else (i + 1, i)
+        arrows.append((src, tgt, "del" if p != p2 else "delbar"))
     return arrows
 
 
@@ -379,6 +363,16 @@ class Bicomplex:
         return f"Bicomplex({len(self.spaces)} bidegrees, total dim {self.total_dim()})"
 
 
+def _cancels(*pairs):
+    """Whether the products f * g of the (f, g) in pairs sum to zero.  None
+    is an absent (zero) map, and a product with one is never built; two
+    products are compared, not added."""
+    prods = [f * g for f, g in pairs if f is not None and g is not None]
+    if len(prods) == 2:
+        return prods[0] == prods[1] * -1
+    return all(m.is_zero() for m in prods)
+
+
 def validate(A):
     """Check shapes and the three differential identities.
 
@@ -399,19 +393,15 @@ def validate(A):
                     (p, q),
                     f"{which} is {m.rows}x{m.cols}, expected {tgt}x{src}",
                 )
+    D, B = A.del_maps, A.delbar_maps
     for (p, q) in A.spaces:
-        if A.dim(p + 2, q) and not (A.del_at(p + 1, q) * A.del_at(p, q)).is_zero():
+        if not _cancels((D.get((p + 1, q)), D.get((p, q)))):
             raise NotABicomplex((p, q), "del^2")
-        if A.dim(p, q + 2) and not (
-            A.delbar_at(p, q + 1) * A.delbar_at(p, q)
-        ).is_zero():
+        if not _cancels((B.get((p, q + 1)), B.get((p, q)))):
             raise NotABicomplex((p, q), "delbar^2")
-        if A.dim(p + 1, q + 1):
-            mixed = A.del_at(p, q + 1) * A.delbar_at(p, q) + A.delbar_at(
-                p + 1, q
-            ) * A.del_at(p, q)
-            if not mixed.is_zero():
-                raise NotABicomplex((p, q), "anticommute")
+        if not _cancels((D.get((p, q + 1)), B.get((p, q))),
+                        (B.get((p + 1, q)), D.get((p, q)))):
+            raise NotABicomplex((p, q), "anticommute")
     return A
 
 
@@ -422,8 +412,6 @@ def validate(A):
 def realize_shape(s):
     """Realize a shape with 1-dimensional entries and unit arrows; a
     square's top del carries the -1 so that del*delbar + delbar*del = 0."""
-    if s.kind == "dot":
-        return Bicomplex({s.anchor: 1})
     one = Matrix([[1]])
     if s.kind == "square":
         p, q = s.anchor
@@ -434,20 +422,10 @@ def realize_shape(s):
             delbar_maps={(p, q): one, (p + 1, q): one},
         )
     ents = _shape_entries(s)
-    spaces = {e: 1 for e in ents}
-    del_maps = {}
-    delbar_maps = {}
-    for si, ti, which in _shape_arrows(s):
-        src, tgt = ents[si], ents[ti]
-        if which == "del":
-            del_maps[src] = one
-        else:
-            delbar_maps[src] = one
-        assert (
-            tgt[0] - src[0],
-            tgt[1] - src[1],
-        ) == ((1, 0) if which == "del" else (0, 1))
-    return Bicomplex(spaces, del_maps, delbar_maps)
+    maps = {"del": {}, "delbar": {}}
+    for si, _, which in _shape_arrows(s):
+        maps[which][ents[si]] = one
+    return Bicomplex({e: 1 for e in ents}, maps["del"], maps["delbar"])
 
 
 # ---------------------------------------------------------------------------
@@ -502,64 +480,36 @@ def tensor(A, B):
 
     On a basis element x (x) y with x of total degree t,
     del(x (x) y) = del x (x) y + (-1)^t x (x) del y, likewise delbar.
+    A^{r,s} (x) B^{u,v} sits in the product's (r+u, s+v) after the
+    pairs there with a smaller (r, s).
     """
-
-    def blocks_at(p, q):
-        out = []
-        for (r, s), da in A.spaces.items():
-            u, v = p - r, q - s
-            db = B.spaces.get((u, v), 0)
-            if db:
-                out.append(((r, s), (u, v), da, db))
-        out.sort()
-        return out
-
-    spaces = {}
-    for (r, s), da in A.spaces.items():
+    spaces, table = {}, {}
+    for (r, s), da in sorted(A.spaces.items()):
         for (u, v), db in B.spaces.items():
             pq = (r + u, s + v)
+            table[(r, s), (u, v)] = pq, spaces.get(pq, 0)
             spaces[pq] = spaces.get(pq, 0) + da * db
     _check_size(spaces)
 
-    offsets = {}
-    for pq in spaces:
-        off = {}
-        pos = 0
-        for rs, uv, da, db in blocks_at(*pq):
-            off[(rs, uv)] = pos
-            pos += da * db
-        offsets[pq] = off
+    def build(amaps, bmaps, dp, dq):
+        blocks = {}
+        for ((r, s), (u, v)), (pq, base) in table.items():
+            # differential on the A factor
+            tgt = table.get(((r + dp, s + dq), (u, v)))
+            if (r, s) in amaps and tgt:
+                fa = _kron(amaps[r, s], Matrix.identity(B.spaces[u, v]))
+                blocks.setdefault(pq, []).append((tgt[1], base, fa, (1, 0)))
+            # differential on the B factor, with the Koszul sign
+            tgt = table.get(((r, s), (u + dp, v + dq)))
+            if (u, v) in bmaps and tgt:
+                fb = _kron(Matrix.identity(A.spaces[r, s]), bmaps[u, v])
+                sign = 1 if (r + s) % 2 == 0 else -1
+                blocks.setdefault(pq, []).append((tgt[1], base, fb, (sign, 0)))
+        return {(p, q): _block_matrix(spaces[p + dp, q + dq], spaces[p, q], b)
+                for (p, q), b in blocks.items()}
 
-    def build(which):
-        step = (1, 0) if which == "del" else (0, 1)
-        amaps = A.del_maps if which == "del" else A.delbar_maps
-        bmaps = B.del_maps if which == "del" else B.delbar_maps
-        maps = {}
-        for (p, q), dim_src in spaces.items():
-            tp, tq = p + step[0], q + step[1]
-            dim_tgt = spaces.get((tp, tq), 0)
-            if not dim_tgt:
-                continue
-            tgt_off = offsets[(tp, tq)]
-            blocks = []
-            for (rs, uv), base in offsets[(p, q)].items():
-                (r, s), (u, v) = rs, uv
-                # differential on the A factor
-                key = ((r + step[0], s + step[1]), uv)
-                if rs in amaps and key in tgt_off:
-                    fa = _kron(amaps[rs], Matrix.identity(B.dim(u, v)))
-                    blocks.append((tgt_off[key], base, fa, (1, 0)))
-                # differential on the B factor, with the Koszul sign
-                key = (rs, (u + step[0], v + step[1]))
-                if uv in bmaps and key in tgt_off:
-                    fb = _kron(Matrix.identity(A.dim(r, s)), bmaps[uv])
-                    sign = 1 if (r + s) % 2 == 0 else -1
-                    blocks.append((tgt_off[key], base, fb, (sign, 0)))
-            if blocks:
-                maps[(p, q)] = _block_matrix(dim_tgt, dim_src, blocks)
-        return maps
-
-    return Bicomplex(spaces, build("del"), build("delbar"))
+    return Bicomplex(spaces, build(A.del_maps, B.del_maps, 1, 0),
+                     build(A.delbar_maps, B.delbar_maps, 0, 1))
 
 
 def dual(A, n):
@@ -567,25 +517,17 @@ def dual(A, n):
 
     The differential sends a functional f of total degree t to
     (-1)^{t-1} f composed with d, split into its two components; in
-    matrix terms each component is a signed transpose.
+    matrix terms each component is a signed transpose.  A map of A out
+    of total degree t becomes one out of degree 2n - t - 1, so its sign
+    is (-1)^t.
     """
     spaces = {(n - p, n - q): d for (p, q), d in A.spaces.items()}
-    del_maps = {}
-    delbar_maps = {}
-    for (p, q) in spaces:
-        t = p + q
-        sign = -1 if (t - 1) % 2 else 1
-        src = A.del_maps.get((n - p - 1, n - q))
-        if src is not None and A.dim(n - p - 1, n - q):
-            m = src.transpose() * sign
-            if not m.is_zero():
-                del_maps[(p, q)] = m
-        src = A.delbar_maps.get((n - p, n - q - 1))
-        if src is not None and A.dim(n - p, n - q - 1):
-            m = src.transpose() * sign
-            if not m.is_zero():
-                delbar_maps[(p, q)] = m
-    return Bicomplex(spaces, del_maps, delbar_maps)
+
+    def flip(maps, dp, dq):
+        return {(n - p - dp, n - q - dq): m.transpose() * (-1 if (p + q) % 2 else 1)
+                for (p, q), m in maps.items()}
+
+    return Bicomplex(spaces, flip(A.del_maps, 1, 0), flip(A.delbar_maps, 0, 1))
 
 
 def transpose_bicomplex(A):
@@ -677,24 +619,21 @@ def degree_blocks(A, k):
     return blocks
 
 
-def _degree_dim(A, k):
-    return sum(d for _, _, d in degree_blocks(A, k))
-
-
 def _assemble(A, k, unit_del, unit_delbar):
     """d-type matrix from degree k to k+1: each del block times the
     Gaussian integer unit_del = (re, im), each delbar block times
     unit_delbar."""
-    tgt_pos = {pq: off for pq, off, _ in degree_blocks(A, k + 1)}
+    src, tgt = degree_blocks(A, k), degree_blocks(A, k + 1)
+    tgt_pos = {pq: off for pq, off, _ in tgt}
     blocks = []
-    for (p, q), off, _ in degree_blocks(A, k):
+    for (p, q), off, _ in src:
         for mat, unit, tpq in (
             (A.del_maps.get((p, q)), unit_del, (p + 1, q)),
             (A.delbar_maps.get((p, q)), unit_delbar, (p, q + 1)),
         ):
             if mat is not None and tpq in tgt_pos:
                 blocks.append((tgt_pos[tpq], off, mat, unit))
-    return _block_matrix(_degree_dim(A, k + 1), _degree_dim(A, k), blocks)
+    return _block_matrix(sum(d for *_, d in tgt), sum(d for *_, d in src), blocks)
 
 
 def total_d(A, k):

@@ -115,6 +115,9 @@ def _mod_dim(space, denom):
 def les(A):
     """The long exact sequence report, with exactness bookkeeping."""
     tc = _tc(A)
+    # dim((Im d ^ Im dc + dK)/dK)^k: Ker(i+pi)_k and rank delta_{k-1}
+    ker_incl = {k: _mod_dim(tc.imd_cap_imdc(k), tc.d_ker_dc(k))
+                for k in range(tc.min_deg, tc.max_deg + 2)}
     rows = {}
     for k in tc.degrees():
         n1 = tc.h_ker_dc(k)
@@ -123,8 +126,8 @@ def les(A):
             betti=tc.betti(k),
             h_dc=tc.h_dc(k),
             h_coim_dc=tc.h_coim_dc(k),
-            rank_delta=_mod_dim(tc.imd_cap_imdc(k + 1), tc.d_ker_dc(k + 1)),
-            rank_incl=n1 - _mod_dim(tc.imd_cap_imdc(k), tc.d_ker_dc(k)),
+            rank_delta=ker_incl[k + 1],
+            rank_incl=n1 - ker_incl[k],
             rank_proj=subspace_sum(tc.ker_d(k), tc.ker_dc(k)).dim
             - tc.imd_plus_imdc(k).dim,
         )

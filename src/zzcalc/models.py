@@ -13,7 +13,6 @@ alongside P_{p-1,q} and P_{p,q-1}; the n = 1, P_{0,0} = 1 case already
 requires it (its H_BC at (1,1) is one-dimensional).
 """
 
-from fractions import Fraction
 from itertools import product
 
 from .bicomplex import (
@@ -31,7 +30,7 @@ from .bicomplex import (
 from .decomposition import realize
 from .errors import InvalidInput
 from .functors import CohomologyTable
-from .linalg import Matrix, Scalar
+from .linalg import Matrix
 
 __all__ = [
     "vaisman_model",
@@ -41,10 +40,6 @@ __all__ = [
     "projective_bundle_model",
     "product_model",
 ]
-
-_HALF_I = Scalar(0, Fraction(1, 2))
-_NEG_HALF_I = Scalar(0, Fraction(-1, 2))
-
 
 def _checked_primitives(n, P):
     if n < 1:
@@ -103,38 +98,38 @@ def vaisman_model(n, P):
         index[key] = ((p + a + c, q + b + c), len(lst))
         lst.append(key)
 
+    # every entry is +-i/2: (0, +-1) in sparse rows over denominator 2
     del_maps = {}
     delbar_maps = {}
 
-    def put(maps, src_key, tgt_key, coeff):
+    def put(maps, src_key, tgt_key, sign):
         src_pq, si = index[src_key]
         tgt_pq, ti = index[tgt_key]
         rows = maps.get(src_pq)
         if rows is None:
-            rows = [[0] * len(basis[src_pq]) for _ in basis[tgt_pq]]
-            maps[src_pq] = rows
-        rows[ti][si] = coeff
+            rows = maps[src_pq] = [{} for _ in basis[tgt_pq]]
+        rows[ti][si] = (0, sign)
 
     for key in keys:
         p, q, i, a, b, c = key
         if c + 1 > n - p - q:
             continue
-        even = (p + q) % 2 == 0
+        sign = 1 if (p + q) % 2 == 0 else -1
         if b:
             if a:
-                put(del_maps, key, (p, q, i, 1, 0, c + 1),
-                    _NEG_HALF_I if even else _HALF_I)
+                put(del_maps, key, (p, q, i, 1, 0, c + 1), -sign)
             else:
-                put(del_maps, key, (p, q, i, 0, 0, c + 1),
-                    _HALF_I if even else _NEG_HALF_I)
+                put(del_maps, key, (p, q, i, 0, 0, c + 1), sign)
         if a:
             tgt = (p, q, i, 0, 1, c + 1) if b else (p, q, i, 0, 0, c + 1)
-            put(delbar_maps, key, tgt, _NEG_HALF_I if even else _HALF_I)
+            put(delbar_maps, key, tgt, -sign)
 
-    del_maps = {pq: Matrix(rows) for pq, rows in del_maps.items()}
-    delbar_maps = {pq: Matrix(rows) for pq, rows in delbar_maps.items()}
+    def matrices(maps):
+        return {pq: Matrix._of(len(rows), len(basis[pq]), 2, rows)
+                for pq, rows in maps.items()}
+
     labels = {pq: [_element_label(k) for k in lst] for pq, lst in basis.items()}
-    return validate(Bicomplex(spaces, del_maps, delbar_maps, labels))
+    return validate(Bicomplex(spaces, matrices(del_maps), matrices(delbar_maps), labels))
 
 
 def vaisman_expected_bc(n, P):

@@ -4,9 +4,12 @@ Each case runs one `zz` report verb on a fixed input; its exit code,
 stdout and stderr must equal the record in `golden/cli_transcript.json`.
 The bicomplex verbs run on the Hopf model and on a scrambled sum with
 zigzags of length 4 and 5, and `scramble --seed 9` (text only) on each
-of the two; `combine` builds a rank-3 bundle over the Hopf model and
-blow-ups of it along a labelled center (itself) and an unlabelled one
-(the scrambled sum); the cdga verbs run on `--preset ex_k2_M`, and
+of the two; `combine` builds a rank-3 bundle over the Hopf model, its
+product with itself and blow-ups of it along a labelled center (itself)
+and an unlabelled one (the scrambled sum); `dual` takes the Hopf model
+at n = 2 and the scrambled sum at n = 3; `build vaisman` makes a model
+with three primitive bidegrees; `validate` refuses three small complexes,
+one for each broken identity, with exit 2; the cdga verbs run on `--preset ex_k2_M`, and
 three of them also on a sheared S2 x S2, whose even generators take the
 sign path of even powers.
 This module needs only the standard library; `test_cli_transcript.py`
@@ -65,18 +68,38 @@ CDGA_VERBS = {
     "cdga-compat": ["cdga", "compat", "--j", "1", "--complex", "{dot}"],
 }
 
-COMBINE_CASES = {
+CONSTRUCTION_CASES = {
     "combine/bundle-3/hopf/text": ["combine", "bundle", "--rank", "3", "{hopf}"],
+    "combine/product/hopf-hopf/text": ["combine", "product", "{hopf}", "{hopf}"],
     "combine/blowup-2/hopf-hopf/text":
         ["combine", "blowup", "{hopf}", "{hopf}", "--codim", "2"],
     "combine/blowup-3/hopf-zigzag45/text":
         ["combine", "blowup", "{hopf}", "{zigzag45}", "--codim", "3"],
+    "dual-2/hopf/text": ["dual", "--n", "2", "{hopf}"],
+    "dual-3/zigzag45/text": ["dual", "--n", "3", "{zigzag45}"],
+    "build/vaisman-2/text":
+        ["build", "vaisman", "--n", "2", "--prim", "0,0:1;1,0:1;0,1:1"],
+    "validate/broken-del2/text": ["validate", "{broken_del2}"],
+    "validate/broken-delbar2/text": ["validate", "{broken_delbar2}"],
+    "validate/broken-anticommute/text": ["validate", "{broken_anticommute}"],
 }
 
 EVEN_CDGA_VERBS = {
     "cdga-cohomology-8": ["cdga", "cohomology", "--max-deg", "8"],
     "cdga-model-2": ["cdga", "model", "--j", "2"],
     "cdga-obstruct-2": ["cdga", "obstruct", "--j", "2"],
+}
+
+# One broken identity each: del^2, delbar^2, and a square whose two
+# paths commute instead of anticommuting.
+BROKEN = {
+    "broken_del2": {"spaces": {"0,0": 1, "1,0": 1, "2,0": 1},
+                    "del": {"0,0": [["1"]], "1,0": [["1"]]}},
+    "broken_delbar2": {"spaces": {"0,0": 1, "0,1": 1, "0,2": 1},
+                       "delbar": {"0,0": [["1"]], "0,1": [["1"]]}},
+    "broken_anticommute": {"spaces": {"0,0": 1, "1,0": 1, "0,1": 1, "1,1": 1},
+                           "del": {"0,0": [["1"]], "0,1": [["1"]]},
+                           "delbar": {"0,0": [["1"]], "1,0": [["1"]]}},
 }
 
 # C^4 = <a^2, a*x, x^2> with a^2 and a*x + x^2 exact.
@@ -100,6 +123,7 @@ def _inputs():
         "zigzag45": dumps(scramble(realize(zigzags), 5)),
         "dot": dumps(realize(MultiplicityTable({dot_shape(0, 0): 1}))),
         "sheared_s2xs2": json.dumps(SHEARED_S2XS2),
+        **{name: json.dumps(obj) for name, obj in BROKEN.items()},
     }
 
 
@@ -111,7 +135,7 @@ def _cases():
     for source in ("hopf", "zigzag45"):
         yield (f"scramble/{source}/text",
                ["scramble", "--seed", "9", "{%s}" % source], "text")
-    for name, argv in COMBINE_CASES.items():
+    for name, argv in CONSTRUCTION_CASES.items():
         yield name, argv, "text"
     for verb, argv in CDGA_VERBS.items():
         for fmt in ("text", "json"):

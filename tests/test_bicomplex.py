@@ -11,7 +11,6 @@ from zzcalc.bicomplex import (
     DEGREE_CAP,
     Bicomplex,
     MultiplicityTable,
-    _degree_dim,
     _shape_arrows,
     _shape_entries,
     dc,
@@ -230,7 +229,8 @@ class TestConstructions:
         S = validate(direct_sum(A, B))
         assert S.dim(0, 1) == 2
         assert S.total_dim() == 7
-        assert _degree_dim(S, 1) == A.total_dim() and _degree_dim(S, 1) == 4
+        degree_1 = sum(d for _, _, d in degree_blocks(S, 1))
+        assert degree_1 == A.total_dim() and degree_1 == 4
 
     def test_direct_sum_keeps_labels_when_both_sides_have_them(self):
         A = Bicomplex({(0, 0): 1}, labels={(0, 0): ["u"]})

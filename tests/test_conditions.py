@@ -32,7 +32,7 @@ from zzcalc.conditions import (
     numeric_report,
     purity_diagram,
 )
-from zzcalc import decomposition
+from zzcalc import conditions, decomposition
 from zzcalc.decomposition import realize
 from zzcalc.functors import TotalComplex, purity_defect
 from zzcalc.linalg import Scalar, subspace_intersect, subspace_sum
@@ -132,6 +132,27 @@ def test_rank_incl_against_old_route(group):
             assert subspace_intersect(tc.kerd_cap_kerdc(k), tc.imd_cap_imdc(k)) \
                 == tc.imd_cap_imdc(k), k
             assert rows[k].rank_incl == old_rank_incl(tc, k), k
+            # the replaced route for delta: its own quotient in degree k + 1
+            dk = tc.d_ker_dc(k + 1)
+            assert rows[k].rank_delta == \
+                subspace_sum(tc.imd_cap_imdc(k + 1), dk).dim - dk.dim, k
+
+
+def test_les_takes_each_quotient_once(monkeypatch):
+    """dim((Im d ∩ Im d^c + dK)/dK) in degree k is Ker(i + pi)_k and
+    rank delta_{k-1}: one computation per degree, plus one above the top."""
+    calls = []
+    mod_dim = conditions._mod_dim
+
+    def counted(space, denom):
+        calls.append(1)
+        return mod_dim(space, denom)
+
+    monkeypatch.setattr(conditions, "_mod_dim", counted)
+    for tc in les_models("vaisman"):
+        calls.clear()
+        les(TotalComplex(tc.A))
+        assert len(calls) == len(tc.degrees()) + 1
 
 
 class TestDdc3:
